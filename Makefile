@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint sdpvet vet-json race portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration clean
+.PHONY: build test check lint sdpvet vet-json race portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration perfbench-smoke clean
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,14 @@ eco:
 # because it spawns processes and takes seconds; plain `make test` skips it.
 integration:
 	$(GO) test -tags integration -count=1 -timeout 600s ./cmd/floorpland/
+
+# perfbench-smoke mirrors CI's end-to-end benchmark gate: one traced pass
+# of the repository benchmark's place-n10 workload (about 20 s). It fails
+# when a floorplan fails the benchmark's independent check, or when the
+# traced per-layer decomposition does not reproduce the untraced run's HPWL
+# and iteration counts bit for bit. See perfbench/README.md.
+perfbench-smoke:
+	python3 perfbench/run.py --workload place-n10 --seed 1 --seconds 7 --trace 1
 
 clean:
 	$(GO) clean ./...

@@ -5,9 +5,11 @@
 // (runs, warm-started runs, iterations, wall time from the event
 // timestamps, terminal statuses), a warm-vs-cold iterations-to-converge
 // comparison when a solver has both kinds of run, and a convergence table
-// of each solver's most recent run. Concurrent runs (portfolio contenders)
-// are paired with their own events via the run id, and every portfolio
-// race gets a winner/contender table.
+// of each solver's most recent run (for the core loop: α, ⟨W,Z⟩, the
+// working-set rows "cons" and the resident outline sides "sides" among
+// them, and the solver iterations of every lazy round). Concurrent runs
+// (portfolio contenders) are paired with their own events via the run id,
+// and every portfolio race gets a winner/contender table.
 //
 // For a floorpland jobstore journal (a wal-*.jsonl segment from -data-dir)
 // it prints the per-job lifecycle instead: state, batch, replay count,

@@ -18,7 +18,7 @@ func syntheticTrace(t *testing.T) string {
 		{TS: 1e6, Solver: "ipm", Kind: "iter", Iter: 0, Fields: []trace.Field{{Key: "mu", Val: 1.5}, {Key: "relP", Val: 0.1}}},
 		{TS: 2e6, Solver: "ipm", Kind: "iter", Iter: 1, Fields: []trace.Field{{Key: "mu", Val: 0.2}, {Key: "relP", Val: 0.01}}},
 		{TS: 3e6, Solver: "ipm", Kind: "final", Iter: 2, Status: "optimal", Fields: []trace.Field{{Key: "relP", Val: 1e-9}}},
-		{TS: 4e6, Solver: "core", Kind: "iter", Iter: 0, Fields: []trace.Field{{Key: "alpha", Val: 0.5}, {Key: "wz", Val: 3.5}}},
+		{TS: 4e6, Solver: "core", Kind: "iter", Iter: 0, Fields: []trace.Field{{Key: "alpha", Val: 0.5}, {Key: "wz", Val: 3.5}, {Key: "cons", Val: 52}, {Key: "sides", Val: 7}}},
 		{TS: 5e6, Solver: "ipm", Kind: "start", Fields: []trace.Field{{Key: "m", Val: 55}}},
 		{TS: 6e6, Solver: "ipm", Kind: "iter", Iter: 0, Fields: []trace.Field{{Key: "mu", Val: 1.1}}},
 		{TS: 7e6, Solver: "ipm", Kind: "final", Iter: 1, Status: "cancelled", Fields: nil},
@@ -46,6 +46,7 @@ func TestRunSummarizesPerSolver(t *testing.T) {
 		"ipm, last run: 1 iterations, cancelled",
 		"core, last run: 1 iterations, cancelled",
 		"alpha", "wz", "mu", // convergence-table columns
+		"cons", "sides", // core working-set rows and the resident outline sides among them
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

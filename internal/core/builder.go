@@ -10,8 +10,22 @@ import (
 	"sdpfloor/internal/sdp"
 )
 
-// pair identifies one unordered module pair with i < j.
+// pair identifies one row of the lazy working set. With j ≥ 0 it is the
+// distance bound of the module pair i < j; with j < 0 it is one
+// fixed-outline side of module i's center, j being one of the side
+// constants below.
 type pair struct{ i, j int }
+
+// The four outline sides of a module center, as stored in pair.j.
+const (
+	sideMinX = -1 - iota // xᵢ ≥ MinX + inset
+	sideMaxX             // xᵢ ≤ MaxX − inset
+	sideMinY             // yᵢ ≥ MinY + inset
+	sideMaxY             // yᵢ ≤ MaxY − inset
+)
+
+// isSide reports whether p is an outline side rather than a distance pair.
+func (p pair) isSide() bool { return p.j < 0 }
 
 // builder assembles sub-problem-1 SDP instances for one netlist. It is
 // created once per Solve call and reused across convex iterations (only the
@@ -122,8 +136,26 @@ func (b *builder) outlineInset(i int) float64 {
 	return math.Sqrt(b.nl.Modules[i].MinArea/b.aspect[i]) / 2
 }
 
-// buildProblem assembles the SDP for the given objective matrix and distance
-// constraint working set.
+// sideRow returns the single X-block entry and the right-hand side of
+// outline side p: the row reads ⟨E, Z⟩ ≥ rhs with ⟨E, Z⟩ = ±xᵢ or ±yᵢ.
+func (b *builder) sideRow(p pair) (sdp.Entry, float64) {
+	o, inset := b.opt.Outline, b.outlineInset(p.i)
+	switch p.j {
+	case sideMinX:
+		return sdp.Entry{I: 0, J: 2 + p.i, V: 0.5}, o.MinX + inset
+	case sideMaxX:
+		return sdp.Entry{I: 0, J: 2 + p.i, V: -0.5}, -(o.MaxX - inset)
+	case sideMinY:
+		return sdp.Entry{I: 1, J: 2 + p.i, V: 0.5}, o.MinY + inset
+	default:
+		return sdp.Entry{I: 1, J: 2 + p.i, V: -0.5}, -(o.MaxY - inset)
+	}
+}
+
+// buildProblem assembles the SDP for the given objective matrix and
+// working set. The rows come in the order [prefix | working set | distance
+// caps]: the identity-block and PPM equalities, one inequality per
+// working-set element, then the caps.
 func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 	var cons []sdp.Constraint
 	// Identity block: Z₀₀ = 1, Z₁₁ = 1, Z₀₁ = 0 (Eq. 9).
@@ -169,8 +201,14 @@ func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 		})
 		lp++
 	}
-	// Distance constraints D_ij ≥ bound (Eq. 11 / Eq. 26).
+	// The working set: distance constraints D_ij ≥ bound (Eq. 11 / Eq. 26)
+	// and fixed-outline sides on the X block.
 	for _, p := range pairs {
+		if p.isSide() {
+			e, rhs := b.sideRow(p)
+			addIneq([]sdp.Entry{e}, rhs)
+			continue
+		}
 		es := []sdp.Entry{
 			{I: 2 + p.i, J: 2 + p.i, V: 1},
 			{I: 2 + p.j, J: 2 + p.j, V: 1},
@@ -187,21 +225,6 @@ func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 		}
 		addIneq(es, -cap.MaxDist*cap.MaxDist)
 	}
-	// Fixed-outline bounds on the X block.
-	if b.opt.Outline != nil {
-		o := *b.opt.Outline
-		for i := 0; i < b.n; i++ {
-			if b.nl.Modules[i].Fixed {
-				continue
-			}
-			inset := b.outlineInset(i)
-			// xᵢ ≥ MinX+inset ; −xᵢ ≥ −(MaxX−inset); same for y.
-			addIneq([]sdp.Entry{{I: 0, J: 2 + i, V: 0.5}}, o.MinX+inset)
-			addIneq([]sdp.Entry{{I: 0, J: 2 + i, V: -0.5}}, -(o.MaxX - inset))
-			addIneq([]sdp.Entry{{I: 1, J: 2 + i, V: 0.5}}, o.MinY+inset)
-			addIneq([]sdp.Entry{{I: 1, J: 2 + i, V: -0.5}}, -(o.MaxY - inset))
-		}
-	}
 
 	return &sdp.Problem{
 		PSDDims: []int{b.dim},
@@ -212,12 +235,28 @@ func (b *builder) buildProblem(c *linalg.Dense, pairs []pair) *sdp.Problem {
 	}
 }
 
-// allPairs returns every unordered module pair.
+// allPairs returns the full working set: every unordered module pair and,
+// under a fixed outline, every side of every non-fixed module.
 func (b *builder) allPairs() []pair {
-	out := make([]pair, 0, b.n*(b.n-1)/2)
+	out := make([]pair, 0, b.n*(b.n-1)/2+4*b.n)
 	for i := 0; i < b.n; i++ {
 		for j := i + 1; j < b.n; j++ {
 			out = append(out, pair{i, j})
+		}
+	}
+	return append(out, b.sides()...)
+}
+
+// sides returns every outline side of every non-fixed module in module
+// order (none without an outline; fixed modules sit at their PPM position).
+func (b *builder) sides() []pair {
+	if b.opt.Outline == nil {
+		return nil
+	}
+	var out []pair
+	for i, m := range b.nl.Modules {
+		if !m.Fixed {
+			out = append(out, pair{i, sideMinX}, pair{i, sideMaxX}, pair{i, sideMinY}, pair{i, sideMaxY})
 		}
 	}
 	return out
@@ -253,12 +292,14 @@ func (b *builder) seedPairs() []pair {
 	return out
 }
 
-// violatedPairs scans all pairs against the G block of z and returns up to
-// maxAdd of the most-violated pairs (relative violation) not already in
-// have. Capping the additions keeps the working set from exploding on the
-// first iterations, where the trace heuristic collapses the layout and
-// violates every pair at once; the remaining violations resolve or re-enter
-// over subsequent rounds.
+// violatedPairs scans the constraints against z and returns those not
+// already in have that z violates: up to maxAdd of the most-violated pairs
+// (relative violation), then every outline side that z violates by more
+// than 1e-6 of the outline extent on its axis. Capping the pair additions
+// keeps the working set from exploding on the first iterations, where the
+// trace heuristic collapses the layout and violates every pair at once; the
+// remaining violations resolve or re-enter over subsequent rounds. Sides
+// are at most 4n single-entry rows, so all of them enter at once.
 func (b *builder) violatedPairs(z *linalg.Dense, have map[pair]bool, maxAdd int) []pair {
 	type viol struct {
 		p pair
@@ -286,11 +327,25 @@ func (b *builder) violatedPairs(z *linalg.Dense, have map[pair]bool, maxAdd int)
 	for i, v := range out {
 		ps[i] = v.p
 	}
+	for _, p := range b.sides() {
+		extent := b.opt.Outline.W()
+		if p.j == sideMinY || p.j == sideMaxY {
+			extent = b.opt.Outline.H()
+		}
+		if !have[p] && b.rowSlack(z, p) < -1e-6*extent {
+			ps = append(ps, p)
+		}
+	}
 	return ps
 }
 
-// pairSlack returns D_ij − bound for a pair under the current z.
-func (b *builder) pairSlack(z *linalg.Dense, p pair) float64 {
+// rowSlack returns how far z satisfies working-set row p: D_ij − bound for
+// a pair, ±coordinate − rhs for an outline side. Negative means violated.
+func (b *builder) rowSlack(z *linalg.Dense, p pair) float64 {
+	if p.isSide() {
+		e, rhs := b.sideRow(p)
+		return 2*e.V*z.At(e.I, e.J) - rhs
+	}
 	d := z.At(2+p.i, 2+p.i) + z.At(2+p.j, 2+p.j) - 2*z.At(2+p.i, 2+p.j)
 	return d - b.bound(p)
 }

@@ -25,8 +25,8 @@ type IterRecord struct {
 	Objective   float64       // ⟨B⁰, G⟩ — the unadapted squared-distance objective
 	WZ          float64       // ⟨W, Z⟩ = sum of the n smallest eigenvalues of Z
 	SolveTime   time.Duration // sub-problem-1 wall time
-	NumCons     int           // constraints in the working set
-	SolverIters int           // IPM/ADMM iterations of the final lazy round
+	NumCons     int           // working-set rows: distance pairs and outline sides
+	SolverIters int           // IPM/ADMM iterations over every lazy round
 }
 
 // Result is the outcome of a convex-iteration run.
@@ -39,7 +39,7 @@ type Result struct {
 	AlphaFinal float64
 	Iterations int // total convex iterations across all α
 	// SolverIterations totals the sub-problem solver (IPM/ADMM) iterations
-	// of the final lazy round of every convex iteration — the dominant cost
+	// of every lazy round of every convex iteration — the dominant cost
 	// driver, exported as a service metric.
 	SolverIterations int
 	// SubSolves counts sub-problem-1 SDP solves, lazy rounds included.
@@ -121,10 +121,15 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 	}()
 	b0 := netlist.BuildBP(bld.baseA, opt.Workers)
 
-	// Working set for the distance constraints.
+	// Working set of distance pairs and outline sides.
 	var pairs []pair
 	if opt.LazyConstraints {
 		pairs = bld.seedPairs()
+		if opt.Solver == SolverADMM {
+			// ADMM's per-iteration cost is the PSD projection, not an m×m
+			// factorization, so lazy sides would only add rounds.
+			pairs = append(pairs, bld.sides()...)
+		}
 	} else {
 		pairs = bld.allPairs()
 	}
@@ -188,8 +193,9 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 
 			start := time.Now() //sdpvet:ignore detrand wall-clock SolveTime diagnostic in IterRecord; never feeds placement math
 			var err error
+			var solverIters int
 			prevZ := z
-			z, sol, pairs, havePairs, err = bld.solveSub1(c, pairs, havePairs)
+			z, sol, solverIters, pairs, havePairs, err = bld.solveSub1(c, pairs, havePairs)
 			if err != nil {
 				if isContextErr(err) {
 					res.finalize(b0, prevZ, n)
@@ -200,13 +206,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 				return nil, fmt.Errorf("core: sub-problem 1 failed (alpha=%g, iter=%d): %w", alpha, t, err)
 			}
 			elapsed := time.Since(start) //sdpvet:ignore detrand wall-clock SolveTime diagnostic in IterRecord; never feeds placement math
-			solverIters := 0
-			solverWarm := false
-			if sol != nil {
-				solverIters = sol.Iterations
-				solverWarm = sol.Warm
-				res.SolverIterations += sol.Iterations
-			}
+			res.SolverIterations += solverIters
 
 			// Sub-problem 2: closed-form direction matrix.
 			var wz float64
@@ -235,8 +235,9 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 						{Key: "wz", Val: wz},
 						{Key: "trZ", Val: z.Trace()},
 						{Key: "cons", Val: float64(len(pairs))},
+						{Key: "sides", Val: float64(countSides(pairs))},
 						{Key: "solverIters", Val: float64(solverIters)},
-						{Key: "warm", Val: boolField(solverWarm)},
+						{Key: "warm", Val: boolField(sol.Warm)},
 					},
 				})
 			}
@@ -311,33 +312,36 @@ func isContextErr(err error) bool {
 }
 
 // solveSub1 solves sub-problem 1 for the current objective, growing the lazy
-// working set until no distance constraint is violated and dropping pairs
-// that have stayed slack for several consecutive solves (they re-enter via
-// the violation scan if they ever matter again). Each successful solve is
+// working set until no distance pair or outline side is violated, and
+// dropping pairs that have stayed slack for several consecutive solves (they
+// re-enter via the violation scan if they ever matter again; outline sides,
+// once in, stay for the rest of the Solve). Each successful solve is
 // recorded on the builder as the warm-start source for the next one — both
-// across lazy rounds and across convex iterations.
+// across lazy rounds and across convex iterations. iters totals the solver
+// iterations of every round.
 func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
-	*linalg.Dense, *sdp.Solution, []pair, map[pair]bool, error) {
+	z *linalg.Dense, sol *sdp.Solution, iters int, _ []pair, _ map[pair]bool, err error) {
 
 	for round := 0; ; round++ {
 		prob := b.buildProblem(c, pairs)
-		sol, err := b.solveProblem(prob, pairs)
+		sol, err = b.solveProblem(prob, pairs)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, 0, nil, nil, err
 		}
+		iters += sol.Iterations
 		if sol.Status == sdp.StatusNumericalFailure {
-			return nil, nil, nil, nil, fmt.Errorf("sdp solver: %v (gap %.2g)", sol.Status, sol.Gap)
+			return nil, nil, 0, nil, nil, fmt.Errorf("sdp solver: %v (gap %.2g)", sol.Status, sol.Gap)
 		}
 		b.noteSolution(sol, pairs)
-		z := sol.X[0].Clone()
+		z = sol.X[0].Clone()
 		z.Symmetrize()
 		if !b.opt.LazyConstraints || round >= b.opt.LazyMaxRounds {
-			return z, sol, pairs, have, nil
+			return z, sol, iters, pairs, have, nil
 		}
 		viol := b.violatedPairs(z, have, 4*b.n)
 		if len(viol) == 0 {
 			pairs, have = b.dropSlackPairs(z, pairs, have)
-			return z, sol, pairs, have, nil
+			return z, sol, iters, pairs, have, nil
 		}
 		for _, p := range viol {
 			have[p] = true
@@ -345,7 +349,7 @@ func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
 		}
 		pairs = append(pairs, viol...)
 		if b.opt.Logf != nil {
-			b.opt.Logf("core: lazy round %d added %d violated pairs (total %d)", round, len(viol), len(pairs))
+			b.opt.Logf("core: lazy round %d added %d violated rows (total %d)", round, len(viol), len(pairs))
 		}
 	}
 }
@@ -354,13 +358,18 @@ func (b *builder) solveSub1(c *linalg.Dense, pairs []pair, have map[pair]bool) (
 // from active for three consecutive convex iterations. The hysteresis
 // prevents oscillation; dropped pairs that tighten again are re-added by the
 // violation scan, so the final solution remains feasible for every pair.
+// Outline sides are never dropped.
 func (b *builder) dropSlackPairs(z *linalg.Dense, pairs []pair, have map[pair]bool) ([]pair, map[pair]bool) {
 	if b.slackCount == nil {
 		b.slackCount = make(map[pair]int)
 	}
 	kept := pairs[:0]
 	for _, p := range pairs {
-		slack := b.pairSlack(z, p)
+		if p.isSide() {
+			kept = append(kept, p)
+			continue
+		}
+		slack := b.rowSlack(z, p)
 		if slack > 0.5*b.bound(p) {
 			b.slackCount[p]++
 		} else {
@@ -374,6 +383,17 @@ func (b *builder) dropSlackPairs(z *linalg.Dense, pairs []pair, have map[pair]bo
 		kept = append(kept, p)
 	}
 	return kept, have
+}
+
+// countSides returns how many working-set elements are outline sides.
+func countSides(pairs []pair) int {
+	s := 0
+	for _, p := range pairs {
+		if p.isSide() {
+			s++
+		}
+	}
+	return s
 }
 
 // solveProblem dispatches one sub-problem-1 solve, seeding it from the

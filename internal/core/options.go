@@ -15,9 +15,9 @@
 // Manhattan-distance B matrix (Eq. 20), its hyper-edge extension, boundary
 // pins (Eq. 21), fixed outlines, pre-placed-module constraints (Eqs. 22–24),
 // and the non-square adaptive distance constraints (Eqs. 25–26). A lazy
-// working-set over the O(n²) distance constraints keeps larger instances
-// tractable without changing the solution (the final iterate is feasible
-// for every pair).
+// working set over the O(n²) distance constraints and the 4n fixed-outline
+// sides keeps the sub-problem small without changing the solution: the
+// final iterate is feasible for every pair and every side, resident or not.
 package core
 
 import (
@@ -82,7 +82,9 @@ type Options struct {
 	HyperEdge bool
 
 	// Outline, when non-nil, bounds every center inside the rectangle
-	// (inset by each module's minimal half-width).
+	// (inset by each module's minimal half-width). Each bound is one
+	// outline side of the working set: all resident, or admitted lazily
+	// under LazyConstraints.
 	Outline *geom.Rect
 
 	// DistanceCaps adds proximity constraints D_ij ≤ MaxDist² — the
@@ -91,10 +93,14 @@ type Options struct {
 	DistanceCaps []DistanceCap
 
 	// LazyConstraints activates working-set constraint generation over the
-	// O(n²) distance constraints. Strongly recommended for n ≥ 60.
+	// O(n²) distance constraints and the four outline sides of every
+	// non-fixed module. A side enters when an iterate violates it and then
+	// stays for the rest of the Solve; with the ADMM solver, whose
+	// per-iteration cost does not grow with the constraint count, every
+	// side is resident from the start. Place enables it by default.
 	LazyConstraints bool
-	// LazyMaxRounds caps constraint-generation rounds per sub-problem-1
-	// solve (default 8).
+	// LazyMaxRounds caps constraint-generation rounds (pairs and sides
+	// alike) per sub-problem-1 solve (default 8).
 	LazyMaxRounds int
 
 	// Solver picks the sub-problem-1 SDP solver (default IPM).

@@ -28,8 +28,9 @@ import (
 //     eigenvectors instead of the identity, so the very first sub-problem
 //     already penalizes rank in the prior's frame,
 //   - seeds the adaptive-B centers, so Eq. 20 adapts from iteration 1,
-//   - under lazy constraints, pre-loads the working set with the pairs the
-//     prior violates (modules an ECO delta made overlap), and
+//   - under lazy constraints, pre-loads the working set with the pairs and
+//     outline sides the prior violates (modules an ECO delta made overlap
+//     or pushed outside the outline), and
 //   - synthesizes a warm-start record at Z_prior so the first sub-problem
 //     solve enters the IPM push-to-interior / ADMM resume path instead of
 //     a cold start (both solvers keep their certified fallbacks).

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"sdpfloor/internal/gsrc"
 	"sdpfloor/internal/linalg"
 	"sdpfloor/internal/netlist"
 	"sdpfloor/internal/sdp"
@@ -16,11 +15,7 @@ import (
 // builtinNL loads one of the bundled GSRC designs as a netlist.
 func builtinNL(t *testing.T, name string) *netlist.Netlist {
 	t.Helper()
-	d, err := gsrc.Builtin(name, 1, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d.Netlist
+	return builtinDesign(t, name, 1).Netlist
 }
 
 // subProblemParity drives two consecutive sub-problem-1 solves through the
@@ -129,15 +124,29 @@ func TestSubProblemWarmColdParityADMMChain(t *testing.T) {
 }
 
 // TestSubProblemWarmAcrossWorkingSetChange — the projection must survive the
-// lazy working set growing between solves: the prior iterate is mapped onto
-// the new constraint rows and the added pairs get fresh slack variables.
+// lazy working set growing and shrinking between solves: the prior iterate
+// is mapped onto the new constraint rows, and the added pairs and outline
+// sides get fresh slack variables.
 func TestSubProblemWarmAcrossWorkingSetChange(t *testing.T) {
-	nl := builtinNL(t, "n10")
-	opt := Options{Workers: 1}
+	d := builtinDesign(t, "n10", 1)
+	nl := d.Netlist
+	opt := Options{Workers: 1, Outline: &d.Outline}
 	opt.setDefaults()
 	bld := newBuilder(nl, &opt)
 	all := bld.allPairs()
-	seed := all[:len(all)-3]
+	// The seed lacks three pairs, the four sides of module 0 and one side of
+	// module 1, so growing inserts rows between the ones it keeps.
+	var seed []pair
+	missing := map[pair]bool{all[3]: true, all[17]: true, all[40]: true,
+		{1, sideMaxY}: true}
+	for _, p := range all {
+		if !missing[p] && !(p.isSide() && p.i == 0) {
+			seed = append(seed, p)
+		}
+	}
+	if len(all)-len(seed) != 8 {
+		t.Fatalf("seed drops %d rows, want 8", len(all)-len(seed))
+	}
 
 	bt := netlist.BuildBP(bld.baseA, 1)
 	alpha := maxf(0.5, meanDiagonal(bt)/4)
@@ -152,8 +161,8 @@ func TestSubProblemWarmAcrossWorkingSetChange(t *testing.T) {
 	}
 	bld.noteSolution(first, seed)
 
-	// Same objective, three pairs added: the projected warm start must still
-	// be consumed and the solution must still certify.
+	// Same objective, three pairs and five sides added: the projected warm
+	// start must still be consumed and the solution must still certify.
 	grown, err := bld.solveProblem(bld.buildProblem(c, all), all)
 	if err != nil {
 		t.Fatal(err)
@@ -218,31 +227,41 @@ func TestSolveWarmStartEndToEnd(t *testing.T) {
 
 // TestSolveWarmTraceDeterministicAcrossWorkers — the bitwise trace contract
 // (modulo timestamps) must hold with warm starting enabled, at any worker
-// count.
+// count: with every constraint resident, and with lazy pairs and outline
+// sides.
 func TestSolveWarmTraceDeterministicAcrossWorkers(t *testing.T) {
-	var want []string
-	for i, workers := range []int{1, 2, 8} {
-		nl := builtinNL(t, "n10")
-		var buf bytes.Buffer
-		rec := trace.NewJSONL(&buf)
-		if _, err := Solve(nl, Options{MaxIter: 4, Workers: workers, Trace: rec}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-		for j := range lines {
-			lines[j] = trace.StripTS(lines[j])
-		}
-		if i == 0 {
-			want = lines
-			continue
-		}
-		if len(lines) != len(want) {
-			t.Fatalf("workers=%d: %d trace lines, want %d", workers, len(lines), len(want))
-		}
-		for j := range lines {
-			if lines[j] != want[j] {
-				t.Fatalf("workers=%d: trace line %d diverged:\n got %s\nwant %s",
-					workers, j, lines[j], want[j])
+	d := builtinDesign(t, "n10", 2)
+	lazy := lazyOutlineOptions(d.Outline)
+	lazy.MaxIter = 4
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{{"resident", Options{MaxIter: 4}}, {"lazy-outline", lazy}} {
+		name := tc.name
+		var want []string
+		for i, workers := range []int{1, 2, 8} {
+			var buf bytes.Buffer
+			opt := tc.opt
+			opt.Workers, opt.Trace = workers, trace.NewJSONL(&buf)
+			if _, err := Solve(d.Netlist, opt); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			for j := range lines {
+				lines[j] = trace.StripTS(lines[j])
+			}
+			if i == 0 {
+				want = lines
+				continue
+			}
+			if len(lines) != len(want) {
+				t.Fatalf("%s workers=%d: %d trace lines, want %d", name, workers, len(lines), len(want))
+			}
+			for j := range lines {
+				if lines[j] != want[j] {
+					t.Fatalf("%s workers=%d: trace line %d diverged:\n got %s\nwant %s",
+						name, workers, j, lines[j], want[j])
+				}
 			}
 		}
 	}

@@ -8,12 +8,12 @@ import (
 // warmState carries solver state across the sub-problem-1 solve sequence of
 // one convex-iteration run. Consecutive SDPs differ only in the objective
 // (direction matrix, adaptive B) and in a slowly changing working set of
-// pair constraints, so the previous solution is an excellent starting point
-// for the next solve: the PSD block and its dual slack carry over directly
-// (the block dimension n+2 never changes), while the multipliers and LP
-// slacks are projected onto the new constraint layout. The IPM additionally
-// keeps an assembly/equilibration cache for runs of solves with an unchanged
-// working set. The ADMM penalty is deliberately NOT resumed: the terminal
+// distance-pair and outline-side constraints, so the previous solution is
+// an excellent starting point for the next solve: the PSD block and its
+// dual slack carry over directly (the block dimension n+2 never changes),
+// while the multipliers and LP slacks are projected onto the new
+// constraint layout. The IPM additionally keeps an assembly/equilibration
+// cache for runs of solves with an unchanged working set. The ADMM penalty is deliberately NOT resumed: the terminal
 // adapted penalty is tuned for the previous problem's endgame and measurably
 // slows — in bad cases stalls — the transient on the changed objective,
 // while re-adapting from the default recovers quickly from the warm iterate.
@@ -59,28 +59,18 @@ func (b *builder) prefixCons() int {
 }
 
 // suffixCons returns the number of constraints (each with one LP slack)
-// buildProblem emits after the pair block: distance caps, then four outline
-// bounds per non-fixed module.
-func (b *builder) suffixCons() int {
-	s := len(b.opt.DistanceCaps)
-	if b.opt.Outline != nil {
-		for _, m := range b.nl.Modules {
-			if !m.Fixed {
-				s += 4
-			}
-		}
-	}
-	return s
-}
+// buildProblem emits after the working set: the distance caps.
+func (b *builder) suffixCons() int { return len(b.opt.DistanceCaps) }
 
 // projectWarm maps the previous solution's dual vector and LP block onto the
 // constraint layout of the new working set. buildProblem's ordering is
-// [prefix | one row+slack per pair | suffix], with prefix and suffix
-// invariant across solves, so rows map by position there and by pair
-// identity in the middle. A pair new to the working set gets multiplier 0
-// and a primal slack read off the current iterate (so A(X) ≈ b holds on the
-// fresh row); dropped pairs simply lose their entries. Returns nils when the
-// recorded solution does not match the expected layout (e.g. it came from a
+// [prefix | one row+slack per working-set element | suffix], with prefix
+// and suffix invariant across solves, so rows map by position there and by
+// element identity (distance pair or outline side) in the middle. An
+// element new to the working set gets multiplier 0 and a primal slack read
+// off the current iterate (so A(X) ≈ b holds on the fresh row); dropped
+// elements simply lose their entries. Returns nils when the recorded
+// solution does not match the expected layout (e.g. it came from a
 // differently configured builder), which cold-starts the solve.
 func (b *builder) projectWarm(w *warmState, pairs []pair) (y, xlp, slp []float64) {
 	prev := w.sol
@@ -104,7 +94,7 @@ func (b *builder) projectWarm(w *warmState, pairs []pair) (y, xlp, slp []float64
 			xlp[t] = prev.XLP[t0]
 			slp[t] = prev.SLP[t0]
 		} else {
-			xlp[t] = maxf(b.pairSlack(z, pr), 1e-8)
+			xlp[t] = maxf(b.rowSlack(z, pr), 1e-8)
 			slp[t] = 1
 		}
 	}

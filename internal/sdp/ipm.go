@@ -31,9 +31,11 @@ type IPMOptions struct {
 	// length len(Cons) — or the solver starts cold. The iterate is pushed
 	// to the interior (blended with the centered scaled identity) before
 	// use, and the solver falls back to the cold start automatically when
-	// the blended point is still not safely positive definite; Solution.Warm
-	// reports what actually happened. Y0 is given against the original
-	// problem; the solver maps it onto the equilibrated rows itself.
+	// the blended point is still not safely positive definite, or when the
+	// warm run ends in a numerical failure (the rerun's Solution.Iterations
+	// includes the failed run's); Solution.Warm reports what actually
+	// happened. Y0 is given against the original problem; the solver maps
+	// it onto the equilibrated rows itself.
 	X0, S0     []*linalg.Dense
 	XLP0, SLP0 []float64
 	Y0         []float64
@@ -137,7 +139,10 @@ type ipmState struct {
 // the HKM search direction and Mehrotra's predictor–corrector. It is an
 // infeasible-start method: the initial iterate is a scaled identity, or a
 // pushed-to-interior blend of the caller's prior solution when the warm-start
-// options are set (with automatic fallback to the cold start).
+// options are set. The cold start is the fallback twice over: when the
+// blended point fails its test factorization, and when the warm-started run
+// ends in a numerical failure, in which case the solve reruns once from the
+// cold point as a traced run of its own and reports Warm=false.
 func SolveIPM(p *Problem, opt IPMOptions) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -176,6 +181,17 @@ func SolveIPM(p *Problem, opt IPMOptions) (*Solution, error) {
 		opt.Reuse.store(orig, opt.NoScale, sp, st.sym)
 	}
 	sol := st.run()
+	if st.warm && sol.Status == StatusNumericalFailure {
+		// The warm iterate led into a numerical dead end that nearOptimal
+		// could not rescue. Rerun once from the cold point; run has
+		// already returned the first state's arena leases. Iterations
+		// counts the work of both runs.
+		cold := opt
+		cold.X0, cold.S0, cold.XLP0, cold.SLP0, cold.Y0 = nil, nil, nil, nil, nil
+		first := sol.Iterations
+		sol = newIPMState(p, cold, st.sym).run()
+		sol.Iterations += first
+	}
 	if sp != nil {
 		sp.unscaleDuals(sol.Y)
 		// Objectives and residuals are reported against the original data.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sdpfloor/internal/linalg"
+	"sdpfloor/internal/trace"
 )
 
 // perturbObjective returns a copy of p sharing everything except the
@@ -174,6 +175,93 @@ func TestIPMWarmStartFallsBackToCold(t *testing.T) {
 	if err != nil || sol.Warm {
 		t.Fatalf("missing Y0: err=%v warm=%v", err, sol.Warm)
 	}
+}
+
+// leaseRecorder records every ipm event and, on each start, how many arena
+// leases are checked out at that moment.
+type leaseRecorder struct {
+	arena  *linalg.Arena
+	events []trace.Event
+	leases []int
+}
+
+func (r *leaseRecorder) Enabled() bool { return true }
+
+func (r *leaseRecorder) Record(ev trace.Event) {
+	r.events = append(r.events, ev)
+	if ev.Kind == trace.KindStart {
+		r.leases = append(r.leases, r.arena.Leases())
+	}
+}
+
+// TestIPMWarmNumericalFailureFallsBackToCold — a warm start that passes the
+// test factorization but steers the run into a numerical failure must be
+// rerun once from the cold point: the caller sees an optimal, certified,
+// Warm=false solution whose Iterations count both runs; the trace holds two
+// complete runs (warm start…numerical-failure final, then cold start…final);
+// and the rerun starts with only its own leases checked out, so the failed
+// run's were returned first.
+func TestIPMWarmNumericalFailureFallsBackToCold(t *testing.T) {
+	p := randomFeasibleSDP(rand.New(rand.NewSource(17)), 12, 14)
+	prev, err := SolveIPM(p, IPMOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Multipliers of 1e30 keep X and S (and so the test factorization)
+	// intact but overflow the dual residual on the first iteration.
+	bad := warmIPMOptions(prev)
+	bad.Y0 = make([]float64, len(prev.Y))
+	for k := range bad.Y0 {
+		bad.Y0[k] = 1e30
+	}
+	rec := &leaseRecorder{arena: linalg.NewArena()}
+	bad.Arena, bad.Trace = rec.arena, rec
+	sol, err := SolveIPM(p, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Warm {
+		t.Error("fallback solve reports Warm=true")
+	}
+	if sol.Status != StatusOptimal {
+		t.Fatalf("fallback solve: %v", sol.Status)
+	}
+	assertKKT(t, p, sol, 1e-5)
+	if n := rec.arena.Leases(); n != 0 {
+		t.Errorf("%d arena leases outstanding after the solve", n)
+	}
+
+	var runs []string
+	iters := 0
+	for _, ev := range rec.events {
+		switch ev.Kind {
+		case trace.KindStart:
+			runs = append(runs, fmt.Sprintf("start warm=%g", fieldVal(ev, "warm")))
+		case trace.KindFinal:
+			runs = append(runs, fmt.Sprintf("final %s warm=%g", ev.Status, fieldVal(ev, "warm")))
+			iters += ev.Iter
+		}
+	}
+	want := []string{"start warm=1", "final numerical-failure warm=1", "start warm=0", "final optimal warm=0"}
+	if fmt.Sprint(runs) != fmt.Sprint(want) {
+		t.Fatalf("trace runs %q, want %q", runs, want)
+	}
+	if iters != sol.Iterations {
+		t.Errorf("Iterations = %d, trace finals sum to %d", sol.Iterations, iters)
+	}
+	if len(rec.leases) != 2 || rec.leases[1] != rec.leases[0] {
+		t.Errorf("leases at the two starts %v: the rerun must begin with the first run's returned", rec.leases)
+	}
+}
+
+// fieldVal returns the named payload value of ev, or NaN when absent.
+func fieldVal(ev trace.Event, key string) float64 {
+	for _, f := range ev.Fields {
+		if f.Key == key {
+			return f.Val
+		}
+	}
+	return math.NaN()
 }
 
 // TestIPMReuseTransparent — a shared IPMReuse handle across a sequence of
