@@ -6,15 +6,5 @@ package parallel
 // For mirrors the production chunked parallel-for.
 func For(workers, n, minPar int, fn func(lo, hi int)) { fn(0, n) }
 
-// ForChunked mirrors the production chunk-indexed variant.
-func ForChunked(workers, n, minPar int, fn func(chunk, lo, hi int)) { fn(0, 0, n) }
-
-// Do mirrors the production thunk runner.
-func Do(thunks ...func()) {
-	for _, f := range thunks {
-		f()
-	}
-}
-
-// Chunks mirrors the production chunk-count helper.
-func Chunks(workers, n, minPar int) int { return 1 }
+// ForTri mirrors the production triangular-balanced parallel-for.
+func ForTri(workers, m, minPar int, fn func(lo, hi int)) { fn(0, m) }

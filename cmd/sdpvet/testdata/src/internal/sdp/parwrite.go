@@ -23,31 +23,34 @@ func sharedAppend(xs []float64) []float64 {
 	return out
 }
 
-func sharedCounter(xs []float64) int {
-	count := 0
-	parallel.Do(func() {
-		count++ // want parwrite
-	}, func() {
-		count-- // want parwrite
+func sharedTriangularSum(l []float64, m int) float64 {
+	var sum float64
+	rows := 0
+	parallel.ForTri(4, m, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			sum += l[r] // want parwrite
+			rows++      // want parwrite
+		}
 	})
-	return count
+	return sum + float64(rows)
 }
 
-func disjointWritesAreFine(xs, ys []float64) float64 {
-	n := len(xs)
-	chunks := parallel.Chunks(4, n, 1)
-	partials := make([]float64, chunks)
-	parallel.ForChunked(4, n, 1, func(c, lo, hi int) {
-		local := 0.0 // chunk-private: no finding
+func disjointWritesAreFine(xs, ys []float64) {
+	parallel.For(4, len(xs), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			local += xs[i]
-			ys[i] = xs[i] // indexed write: the sanctioned pattern
+			ys[i] = 2 * xs[i] // indexed write: the sanctioned pattern
 		}
-		partials[c] = local // indexed write: no finding
 	})
-	var sum float64
-	for _, p := range partials { // sequential reduce outside the closure
-		sum += p
-	}
-	return sum
+}
+
+func disjointTriangularRowsAreFine(l, rowSums []float64, m int) {
+	parallel.ForTri(4, m, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			local := 0.0 // chunk-private: no finding
+			for k := 0; k <= r; k++ {
+				local += l[r*m+k]
+			}
+			rowSums[r] = local // indexed write: no finding
+		}
+	})
 }

@@ -112,6 +112,38 @@ func TestRunEmptyInput(t *testing.T) {
 	}
 }
 
+// TestRunWarmColumnWithoutSavedFigure: a trace mixing warm and cold runs
+// of one solver reports the warm/total count, but no warm-vs-cold saving —
+// warm and cold runs of one trace solve different sub-problems, so their
+// iteration counts are not a paired comparison.
+func TestRunWarmColumnWithoutSavedFigure(t *testing.T) {
+	warm := func(v float64) []trace.Field { return []trace.Field{{Key: "warm", Val: v}} }
+	evs := []trace.Event{
+		{TS: 0, Solver: "ipm", Kind: "start"},
+		{TS: 1e6, Solver: "ipm", Kind: "final", Iter: 20, Status: "optimal", Fields: warm(0)},
+		{TS: 2e6, Solver: "ipm", Kind: "start"},
+		{TS: 3e6, Solver: "ipm", Kind: "final", Iter: 12, Status: "optimal", Fields: warm(1)},
+		{TS: 4e6, Solver: "ipm", Kind: "start"},
+		{TS: 5e6, Solver: "ipm", Kind: "final", Iter: 10, Status: "optimal", Fields: warm(1)},
+	}
+	var b []byte
+	for _, ev := range evs {
+		b = trace.AppendJSON(b, ev)
+		b = append(b, '\n')
+	}
+	var out strings.Builder
+	if err := run(strings.NewReader(string(b)), &out, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	if !strings.Contains(got, "2/3") {
+		t.Errorf("warm column missing 2/3:\n%s", got)
+	}
+	if strings.Contains(got, "saved") {
+		t.Errorf("output reports an unpaired warm-vs-cold saving:\n%s", got)
+	}
+}
+
 // TestRunKeysInterleavedRunsBySolverAndRun: two concurrent runs of the
 // same solver (portfolio contenders) interleave their events; each event
 // must pair with the start carrying the same run id, not the most recent

@@ -313,7 +313,8 @@ func SolveQPOpts(nl *netlist.Netlist, opt QPOptions) (result *Result, err error)
 		}
 		c.Set(i, i, deg+1e-9) // regularization for the pad-free singular case
 	}
-	fac, err := linalg.NewCholesky(c)
+	var cw linalg.CholWork
+	fac, err := cw.Factor(c, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -187,7 +187,7 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			}
 			res.Iterations++
 			// Adaptive B (Eq. 20 / hyper-edge variant).
-			at := adaptiveAP(nl, centers, opt.Manhattan, opt.HyperEdge, opt.Workers)
+			at := adaptiveA(nl, centers, opt.Manhattan, opt.HyperEdge)
 			bt := netlist.BuildBP(at, opt.Workers)
 			c := bld.objectiveC(bt, w, alpha)
 
@@ -300,7 +300,7 @@ func (res *Result) finalize(b0, z *linalg.Dense, n int) {
 	res.Centers = ExtractCenters(z)
 	res.Objective = objectiveValue(b0, z, n)
 	res.WZ = sumSmallestEigen(z, n)
-	if eg, err := linalg.NewSymEig(z); err == nil {
+	if eg, err := new(linalg.EigWork).Factor(z, 1); err == nil {
 		res.Rank = eg.NumericalRank(1e-6)
 	}
 }
@@ -447,21 +447,17 @@ func (b *builder) solveProblem(prob *sdp.Problem, pairs []pair) (*sdp.Solution, 
 	return sol, err
 }
 
-// DirectionMatrix solves sub-problem 2 (Eq. 19) in closed form: by the
+// DirectionMatrixP solves sub-problem 2 (Eq. 19) in closed form: by the
 // Ky Fan theorem the minimizer of ⟨W, Z⟩ over {0 ⪯ W ⪯ I, tr W = n} is
 // W = UUᵀ with U the eigenvectors of the n smallest eigenvalues of Z, and
 // the optimal value is the sum of those eigenvalues. Returns (W, ⟨W,Z⟩).
-func DirectionMatrix(z *linalg.Dense, n int) (*linalg.Dense, float64, error) {
-	return DirectionMatrixP(z, n, 1)
-}
-
-// DirectionMatrixP is DirectionMatrix with the eigendecomposition and the
-// W = UUᵀ product split across the worker pool. Bitwise identical to
-// DirectionMatrix for every worker count.
+// The eigendecomposition and the W = UUᵀ product are split across the
+// worker pool; the result is bitwise identical for every worker count.
 //
 //sdpvet:hotpath
 func DirectionMatrixP(z *linalg.Dense, n, workers int) (*linalg.Dense, float64, error) {
-	eg, err := linalg.NewSymEigP(z, workers)
+	var ew linalg.EigWork
+	eg, err := ew.Factor(z, workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -477,7 +473,9 @@ func DirectionMatrixP(z *linalg.Dense, n, workers int) (*linalg.Dense, float64, 
 			u.Set(r, col, eg.V.At(r, col))
 		}
 	}
-	w := linalg.MulABtP(u, u, workers)
+	w := linalg.NewDense(dim, dim)
+	var mm linalg.MatMulWork
+	mm.MulABtInto(w, u, u, workers)
 	w.Symmetrize()
 	return w, wz, nil
 }
@@ -499,7 +497,7 @@ func ExtractCenters(z *linalg.Dense) []geom.Point {
 func ExtractBestRank2(z *linalg.Dense) ([]geom.Point, error) {
 	n := z.Rows - 2
 	g := z.Submatrix(2, 2, n, n)
-	eg, err := linalg.NewSymEig(g)
+	eg, err := new(linalg.EigWork).Factor(g, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -541,7 +539,7 @@ func objectiveValue(b0, z *linalg.Dense, n int) float64 {
 // sumSmallestEigen returns the sum of the n smallest eigenvalues of z — the
 // optimal ⟨W, Z⟩ of sub-problem 2, i.e. the rank-constraint violation.
 func sumSmallestEigen(z *linalg.Dense, n int) float64 {
-	eg, err := linalg.NewSymEig(z)
+	eg, err := new(linalg.EigWork).Factor(z, 1)
 	if err != nil {
 		return 0
 	}

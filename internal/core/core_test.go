@@ -169,7 +169,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 			z.Set(j, i, v)
 		}
 	}
-	w, wz, err := DirectionMatrix(z, n)
+	w, wz, err := DirectionMatrixP(z, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 	if math.Abs(w.Trace()-float64(n)) > 1e-9 {
 		t.Fatalf("tr W = %g, want %d", w.Trace(), n)
 	}
-	eg, err := linalg.NewSymEig(w)
+	eg, err := new(linalg.EigWork).Factor(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,14 +95,18 @@ func TestDirectionMatrixProjectorProperty(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		w, _, err := DirectionMatrix(z, n)
+		w, _, err := DirectionMatrixP(z, n, 1)
 		if err != nil {
 			return false
 		}
-		w2 := linalg.MatMul(w, w)
-		diff := w2.Clone()
-		diff.AddScaled(-1, w)
-		return diff.MaxAbs() < 1e-8 && math.Abs(w.Trace()-float64(n)) < 1e-8
+		w2 := linalg.NewDense(w.Rows, w.Cols)
+		new(linalg.MatMulWork).MatMulInto(w2, w, w, 1)
+		for i, v := range w2.Data {
+			if math.Abs(v-w.Data[i]) >= 1e-8 {
+				return false
+			}
+		}
+		return math.Abs(w.Trace()-float64(n)) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -125,7 +129,7 @@ func TestDirectionMatrixLowerBoundsObjective(t *testing.T) {
 				z.Set(j, i, v)
 			}
 		}
-		_, opt, err := DirectionMatrix(z, n)
+		_, opt, err := DirectionMatrixP(z, n, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +139,8 @@ func TestDirectionMatrixLowerBoundsObjective(t *testing.T) {
 			m.Data[i] = rng.NormFloat64()
 		}
 		q := gramSchmidt(m, n)
-		wp := linalg.MatMul(q, q.T())
+		wp := linalg.NewDense(dim, dim)
+		new(linalg.MatMulWork).MulABtInto(wp, q, q, 1)
 		if got := linalg.InnerProd(wp, z); got < opt-1e-8*(1+math.Abs(opt)) {
 			t.Fatalf("random feasible W' beat the Ky-Fan optimum: %g < %g", got, opt)
 		}
@@ -188,12 +193,16 @@ func TestBaseBMatrixIsPSD(t *testing.T) {
 				}
 			}
 		}
-		b := netlist.BuildB(a)
-		eg, err := linalg.NewSymEig(b)
+		b := netlist.BuildBP(a, 1)
+		eg, err := new(linalg.EigWork).Factor(b, 1)
 		if err != nil {
 			return false
 		}
-		return eg.MinEigenvalue() > -1e-9*(1+b.MaxAbs())
+		scale := 0.0
+		for _, v := range b.Data {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		return eg.MinEigenvalue() > -1e-9*(1+scale)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

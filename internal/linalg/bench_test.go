@@ -23,13 +23,14 @@ func BenchmarkMatMul(b *testing.B) {
 		x := randMat(rng, n, n)
 		y := randMat(rng, n, n)
 		dst := NewDense(n, n)
+		var mm MatMulWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				MatMulIntoP(dst, x, y, w) // warm the dispatch free list
+				mm.MatMulInto(dst, x, y, w) // warm the dispatch free list
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MatMulIntoP(dst, x, y, w)
+					mm.MatMulInto(dst, x, y, w)
 				}
 				benchSink = dst.Data[0]
 			})
@@ -43,13 +44,14 @@ func BenchmarkMulABt(b *testing.B) {
 		x := randMat(rng, n, n)
 		y := randMat(rng, n, n)
 		dst := NewDense(n, n)
+		var mm MatMulWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
-				MulABtIntoP(dst, x, y, w) // warm the dispatch free list
+				mm.MulABtInto(dst, x, y, w) // warm the dispatch free list
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MulABtIntoP(dst, x, y, w)
+					mm.MulABtInto(dst, x, y, w)
 				}
 				benchSink = dst.Data[0]
 			})
@@ -61,11 +63,16 @@ func BenchmarkCholesky(b *testing.B) {
 	for _, n := range benchSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randSPD(rng, n)
+		var cw CholWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				if _, err := cw.Factor(a, w); err != nil { // warm the workspace and the dispatch free list
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c, err := NewCholeskyP(a, w)
+					c, err := cw.Factor(a, w)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -79,16 +86,20 @@ func BenchmarkCholesky(b *testing.B) {
 func BenchmarkCholInverse(b *testing.B) {
 	for _, n := range benchSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
-		c, err := NewCholesky(randSPD(rng, n))
+		var cw CholWork
+		c, err := cw.Factor(randSPD(rng, n), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink = c.Inverse().Data[0] // warm the lazily built Lᵀ so allocs/op is benchtime-independent
+		inv := NewDense(n, n)
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				c.InverseInto(inv, w) // warm the lazily built Lᵀ and the dispatch free list
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSink = c.InverseP(w).Data[0]
+					c.InverseInto(inv, w)
+					benchSink = inv.Data[0]
 				}
 			})
 		}
@@ -100,11 +111,16 @@ func BenchmarkSymEig(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randMat(rng, n, n)
 		a.Symmetrize()
+		var ew EigWork
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				if _, err := ew.Factor(a, w); err != nil { // warm the workspace and the dispatch free list
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					eg, err := NewSymEigP(a, w)
+					eg, err := ew.Factor(a, w)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -120,15 +136,19 @@ func BenchmarkPSDProject(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		a := randMat(rng, n, n)
 		a.Symmetrize()
-		eg, err := NewSymEig(a)
-		if err != nil {
+		var ew EigWork
+		if _, err := ew.Factor(a, 1); err != nil {
 			b.Fatal(err)
 		}
+		dst := NewDense(n, n)
 		for _, w := range benchWorkerCounts() {
 			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				ew.PSDProjectInto(dst, w) // warm the workspace and the dispatch free list
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSink = eg.PSDProjectP(w).Data[0]
+					ew.PSDProjectInto(dst, w)
+					benchSink = dst.Data[0]
 				}
 			})
 		}

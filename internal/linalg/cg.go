@@ -10,16 +10,11 @@ type CGResult struct {
 	Converged  bool
 }
 
-// CG solves the symmetric positive-definite system A x = b with the
+// CGWith solves the symmetric positive-definite system A x = b with the
 // conjugate-gradient method, starting from x (which is updated in place).
-// It stops when ‖r‖ ≤ tol·max(1, ‖b‖) or after maxIter iterations.
-func CG(mul MulVecFn, b, x []float64, tol float64, maxIter int) CGResult {
-	var w CGWork
-	return CGWith(&w, mul, b, x, tol, maxIter)
-}
-
-// CGWith is CG with the iteration vectors taken from a reusable workspace,
-// so repeated solves allocate nothing after the first.
+// It stops when ‖r‖ ≤ tol·max(1, ‖b‖) or after maxIter iterations. The
+// iteration vectors come from the reusable workspace w (the zero value is
+// ready to use), so repeated solves allocate nothing after the first.
 func CGWith(w *CGWork, mul MulVecFn, b, x []float64, tol float64, maxIter int) CGResult {
 	n := len(b)
 	if len(x) != n {

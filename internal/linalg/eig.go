@@ -19,37 +19,12 @@ type SymEig struct {
 	V      *Dense // column j is the eigenvector for Values[j]
 }
 
-// NewSymEig computes the full eigendecomposition of the symmetric matrix a
-// using Householder tridiagonalization followed by the implicit-shift QL
-// algorithm. Only the lower triangle of a is referenced (the matrix is
-// symmetrized internally). Complexity O(n³).
-func NewSymEig(a *Dense) (*SymEig, error) {
-	return NewSymEigP(a, 1)
-}
-
-// NewSymEigP is NewSymEig with the independent column updates of the
-// Householder reduction and its transform accumulation split across the
-// worker pool. The tridiagonal QL phase stays sequential (its rotations are
-// order-dependent and too fine-grained to fork), and every parallelized loop
-// preserves the per-element operation order, so the decomposition is bitwise
-// identical to NewSymEig for every worker count.
-func NewSymEigP(a *Dense, workers int) (*SymEig, error) {
-	w := &EigWork{}
-	eg, err := w.Factor(a, workers)
-	if err != nil {
-		return nil, err
-	}
-	// The view aliases w's buffers; w goes out of scope here, so the caller
-	// owns them.
-	return eg, nil
-}
-
 // EigWork is a reusable eigendecomposition workspace: the tridiagonal
 // vectors, sort permutation, and low-rank reconstruction buffers are
 // recycled across Factor calls, and the parallel dispatch closures are
 // bound once — so repeated same-sized decompositions (the ADMM projection
 // loop, the IPM step-length checks) allocate nothing after the first call.
-// Not safe for concurrent use.
+// The zero value is ready to use. Not safe for concurrent use.
 type EigWork struct {
 	eig  SymEig
 	v    *Dense
@@ -60,7 +35,7 @@ type EigWork struct {
 	dd  []float64
 	vv  *Dense
 
-	// low-rank reconstruction scratch (applyFnInto)
+	// low-rank reconstruction scratch (ApplyFnInto)
 	cols       []int
 	scaled     []float64
 	wbuf, ubuf []float64
@@ -103,10 +78,19 @@ func (w *EigWork) dim() int {
 	return w.v.Rows
 }
 
-// Factor decomposes the symmetric matrix a (only the lower triangle is
-// read; the input is symmetrized into the workspace) and returns a view of
-// the result. The view — Values, V, and anything reconstructed from them —
-// is invalidated by the next Factor call on the same workspace.
+// Factor computes the full eigendecomposition of the symmetric matrix a
+// (only the lower triangle is read; the input is symmetrized into the
+// workspace) by Householder tridiagonalization followed by the
+// implicit-shift QL algorithm, O(n³), and returns a view of the result. The
+// view — Values, V, and anything reconstructed from them — is invalidated by
+// the next Factor call on the same workspace.
+//
+// The independent column updates of the Householder reduction and its
+// transform accumulation are split across the worker pool. The tridiagonal
+// QL phase stays sequential (its rotations are order-dependent and too
+// fine-grained to fork), and every parallelized loop preserves the
+// per-element operation order, so the decomposition is bitwise identical
+// for every worker count.
 func (w *EigWork) Factor(a *Dense, workers int) (*SymEig, error) {
 	if a.Rows != a.Cols {
 		panic("linalg: SymEig of non-square matrix")
@@ -378,9 +362,10 @@ func tql2(v *Dense, d, e []float64) error {
 
 // ApplyFnInto writes V diag(f(Values)) Vᵀ for the workspace's current
 // decomposition into dst, building the low-rank factors in the workspace's
-// persistent buffers — the zero-allocation counterpart of applyFnP. dst
-// must be n×n and must not alias the decomposition. Bitwise identical for
-// every worker count.
+// persistent buffers. The product is W Uᵀ of two n×r matrices holding only
+// the columns with f(λ) ≠ 0 (W scaled by f(λ), U the raw eigenvectors).
+// dst must be n×n and must not alias the decomposition. Bitwise identical
+// for every worker count.
 func (w *EigWork) ApplyFnInto(dst *Dense, f func(float64) float64, workers int) {
 	eg := &w.eig
 	n := len(eg.Values)
@@ -434,79 +419,6 @@ func fillLowRank(wm, um, v *Dense, cols []int, scaled []float64) {
 			wrow[jj] = scaled[jj] * vrow[j]
 		}
 	}
-}
-
-// Reconstruct returns V diag(Values) Vᵀ — the matrix represented by the
-// decomposition. Useful in tests and for PSD projections.
-func (eg *SymEig) Reconstruct() *Dense {
-	return eg.applyFn(func(x float64) float64 { return x })
-}
-
-// applyFn returns V diag(f(Values)) Vᵀ.
-func (eg *SymEig) applyFn(f func(float64) float64) *Dense {
-	return eg.applyFnP(f, 1)
-}
-
-// applyFnP computes V diag(f(Values)) Vᵀ as the product W Uᵀ of two n×r
-// matrices holding only the columns with f(λ) ≠ 0 (W scaled by f(λ), U the
-// raw eigenvectors), with the output rows split across the worker pool. Each
-// output element is one sequential dot product, so the result is bitwise
-// identical for every worker count.
-func (eg *SymEig) applyFnP(f func(float64) float64, workers int) *Dense {
-	n := len(eg.Values)
-	out := NewDense(n, n)
-	cols := make([]int, 0, n)
-	scaled := make([]float64, 0, n)
-	for j := 0; j < n; j++ {
-		if lj := f(eg.Values[j]); lj != 0 {
-			cols = append(cols, j)
-			scaled = append(scaled, lj)
-		}
-	}
-	r := len(cols)
-	if r == 0 {
-		return out
-	}
-	w := NewDense(n, r)
-	u := NewDense(n, r)
-	fillLowRank(w, u, eg.V, cols, scaled)
-	MulABtIntoP(out, w, u, workers)
-	out.Symmetrize()
-	return out
-}
-
-// PSDProject returns the projection of the symmetric matrix onto the PSD
-// cone: negative eigenvalues are clipped at zero.
-func (eg *SymEig) PSDProject() *Dense {
-	return eg.PSDProjectP(1)
-}
-
-// PSDProjectP is PSDProject with the reconstruction product parallelized
-// over the worker pool.
-func (eg *SymEig) PSDProjectP(workers int) *Dense {
-	return eg.applyFnP(psdClip, workers)
-}
-
-// Sqrt returns the symmetric PSD square root A^{1/2}; eigenvalues below zero
-// (numerical noise) are treated as zero.
-func (eg *SymEig) Sqrt() *Dense {
-	return eg.applyFn(func(x float64) float64 {
-		if x <= 0 {
-			return 0
-		}
-		return math.Sqrt(x)
-	})
-}
-
-// InvSqrt returns A^{-1/2}; eigenvalues below floor are clamped to floor to
-// keep the result finite on nearly singular input.
-func (eg *SymEig) InvSqrt(floor float64) *Dense {
-	return eg.applyFn(func(x float64) float64 {
-		if x < floor {
-			x = floor
-		}
-		return 1 / math.Sqrt(x)
-	})
 }
 
 // MinEigenvalue returns the smallest eigenvalue.

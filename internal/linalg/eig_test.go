@@ -9,7 +9,7 @@ import (
 
 func TestSymEigKnown2x2(t *testing.T) {
 	a := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	eg, err := NewSymEig(a)
+	eg, err := new(EigWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func TestSymEigKnown2x2(t *testing.T) {
 
 func TestSymEigDiagonal(t *testing.T) {
 	a := NewDenseFrom([][]float64{{5, 0, 0}, {0, -2, 0}, {0, 0, 1}})
-	eg, err := NewSymEig(a)
+	eg, err := new(EigWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func TestSymEigReconstructProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(12)
 		a := randSym(r, n)
-		eg, err := NewSymEig(a)
-		if err != nil {
+		w := new(EigWork)
+		if _, err := w.Factor(a, 1); err != nil {
 			return false
 		}
-		rec := eg.Reconstruct()
+		rec := reconstruct(w)
 		for i := range a.Data {
-			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*(1+a.MaxAbs()) {
+			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*(1+maxAbs(a.Data)) {
 				return false
 			}
 		}
@@ -59,11 +59,11 @@ func TestSymEigOrthonormalProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(12)
 		a := randSym(r, n)
-		eg, err := NewSymEig(a)
+		eg, err := new(EigWork).Factor(a, 1)
 		if err != nil {
 			return false
 		}
-		vtv := MatMul(eg.V.T(), eg.V)
+		vtv := matMul(eg.V.T(), eg.V)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -86,7 +86,7 @@ func TestSymEigSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(10)
-		eg, err := NewSymEig(randSym(r, n))
+		eg, err := new(EigWork).Factor(randSym(r, n), 1)
 		if err != nil {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestSymEigSortedProperty(t *testing.T) {
 func TestSymEigTraceInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := randSym(rng, 20)
-	eg, err := NewSymEig(a)
+	eg, err := new(EigWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,30 @@ func TestSymEigTraceInvariant(t *testing.T) {
 	}
 }
 
-func TestPSDProject(t *testing.T) {
-	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
-	eg, err := NewSymEig(a)
-	if err != nil {
+// reconstruct returns V diag(Values) Vᵀ for w's current decomposition.
+func reconstruct(w *EigWork) *Dense {
+	n := len(w.eig.Values)
+	out := NewDense(n, n)
+	w.ApplyFnInto(out, func(x float64) float64 { return x }, 1)
+	return out
+}
+
+// psdProject returns the PSD-cone projection of the symmetric matrix a.
+func psdProject(t *testing.T, a *Dense) *Dense {
+	t.Helper()
+	w := new(EigWork)
+	if _, err := w.Factor(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	p := eg.PSDProject()
-	eg2, err := NewSymEig(p)
+	out := NewDense(a.Rows, a.Rows)
+	w.PSDProjectInto(out, 1)
+	return out
+}
+
+func TestPSDProject(t *testing.T) {
+	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3 and -1
+	p := psdProject(t, a)
+	eg2, err := new(EigWork).Factor(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +150,7 @@ func TestPSDProject(t *testing.T) {
 	}
 	// Projection of a PSD matrix is itself.
 	spd := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	eg3, _ := NewSymEig(spd)
-	matApproxEqual(t, eg3.PSDProject(), spd, 1e-10, "PSD projection of PSD matrix")
+	matApproxEqual(t, psdProject(t, spd), spd, 1e-10, "PSD projection of PSD matrix")
 }
 
 func TestPSDProjectIsNearestProperty(t *testing.T) {
@@ -144,11 +159,7 @@ func TestPSDProjectIsNearestProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(5)
 		a := randSym(rng, n)
-		eg, err := NewSymEig(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := eg.PSDProject()
+		p := psdProject(t, a)
 		diff := a.Clone()
 		diff.AddScaled(-1, p)
 		dp := diff.FrobNorm()
@@ -163,17 +174,21 @@ func TestPSDProjectIsNearestProperty(t *testing.T) {
 	}
 }
 
+// TestSqrtAndInvSqrt checks ApplyFnInto on spectrum maps other than the PSD
+// clip: A^{1/2} and A^{-1/2}.
 func TestSqrtAndInvSqrt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randSPD(rng, 6)
-	eg, err := NewSymEig(a)
-	if err != nil {
+	w := new(EigWork)
+	if _, err := w.Factor(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	s := eg.Sqrt()
-	matApproxEqual(t, MatMul(s, s), a, 1e-8, "sqrt squared")
-	is := eg.InvSqrt(1e-300)
-	prod := MatMul(MatMul(is, a), is)
+	s := NewDense(6, 6)
+	w.ApplyFnInto(s, math.Sqrt, 1)
+	matApproxEqual(t, matMul(s, s), a, 1e-8, "sqrt squared")
+	is := NewDense(6, 6)
+	w.ApplyFnInto(is, func(x float64) float64 { return 1 / math.Sqrt(x) }, 1)
+	prod := matMul(matMul(is, a), is)
 	matApproxEqual(t, prod, Identity(6), 1e-8, "A^{-1/2} A A^{-1/2}")
 }
 
@@ -184,8 +199,8 @@ func TestNumericalRank(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	g := MatMul(x.T(), x)
-	eg, err := NewSymEig(g)
+	g := matMul(x.T(), x)
+	eg, err := new(EigWork).Factor(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +210,10 @@ func TestNumericalRank(t *testing.T) {
 }
 
 func TestSymEigEmptyAndOne(t *testing.T) {
-	if _, err := NewSymEig(NewDense(0, 0)); err != nil {
+	if _, err := new(EigWork).Factor(NewDense(0, 0), 1); err != nil {
 		t.Fatal(err)
 	}
-	eg, err := NewSymEig(NewDenseFrom([][]float64{{42}}))
+	eg, err := new(EigWork).Factor(NewDenseFrom([][]float64{{42}}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +226,7 @@ func TestSymEigRepeatedEigenvalues(t *testing.T) {
 	// A multiple of the identity: all eigenvalues equal, V orthonormal.
 	a := Identity(5)
 	a.Scale(3)
-	eg, err := NewSymEig(a)
+	eg, err := new(EigWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,15 +235,19 @@ func TestSymEigRepeatedEigenvalues(t *testing.T) {
 			t.Fatalf("eigenvalues = %v", eg.Values)
 		}
 	}
-	matApproxEqual(t, MatMul(eg.V.T(), eg.V), Identity(5), 1e-10, "VᵀV")
+	matApproxEqual(t, matMul(eg.V.T(), eg.V), Identity(5), 1e-10, "VᵀV")
 }
 
 func BenchmarkSymEig100(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randSym(rng, 100)
+	var w EigWork
+	if _, err := w.Factor(a, 1); err != nil { // size the workspace so allocs/op is benchtime-independent
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewSymEig(a); err != nil {
+		if _, err := w.Factor(a, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -237,9 +256,13 @@ func BenchmarkSymEig100(b *testing.B) {
 func BenchmarkCholesky200(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randSPD(rng, 200)
+	var w CholWork
+	if _, err := w.Factor(a, 1); err != nil { // size the workspace so allocs/op is benchtime-independent
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewCholesky(a); err != nil {
+		if _, err := w.Factor(a, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestCholeskyKnown(t *testing.T) {
 	a := NewDenseFrom([][]float64{{4, 2}, {2, 3}})
-	c, err := NewCholesky(a)
+	c, err := new(CholWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,13 +26,13 @@ func TestCholeskyReconstructProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(10)
 		a := randSPD(r, n)
-		c, err := NewCholesky(a)
+		c, err := new(CholWork).Factor(a, 1)
 		if err != nil {
 			return false
 		}
-		rec := MatMul(c.L, c.L.T())
+		rec := matMul(c.L, c.L.T())
 		for i := range a.Data {
-			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*(1+a.MaxAbs()) {
+			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-9*(1+maxAbs(a.Data)) {
 				return false
 			}
 		}
@@ -51,14 +52,14 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = r.NormFloat64()
 		}
-		b := a.MulVec(xTrue)
-		c, err := NewCholesky(a)
+		b := mulVec(a, xTrue)
+		c, err := new(CholWork).Factor(a, 1)
 		if err != nil {
 			return false
 		}
-		x := c.SolveVec(CloneVec(b))
+		x := c.SolveVec(b)
 		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-7*(1+NormInf(xTrue)) {
+			if math.Abs(x[i]-xTrue[i]) > 1e-7*(1+maxAbs(xTrue)) {
 				return false
 			}
 		}
@@ -71,135 +72,51 @@ func TestCholeskySolveProperty(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewDenseFrom([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := NewCholesky(a); err == nil {
-		t.Fatal("expected ErrNotPositiveDefinite")
-	}
-	if IsPosDef(a) {
-		t.Fatal("IsPosDef true for indefinite matrix")
+	if _, err := new(CholWork).Factor(a, 1); !errors.Is(err, ErrNotPositiveDefinite) {
+		t.Fatalf("err = %v, want ErrNotPositiveDefinite", err)
 	}
 }
 
 func TestCholeskyInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randSPD(rng, 6)
-	c, err := NewCholesky(a)
+	c, err := new(CholWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := c.Inverse()
-	prod := MatMul(a, inv)
+	inv := NewDense(6, 6)
+	c.InverseInto(inv, 1)
+	prod := matMul(a, inv)
 	id := Identity(6)
 	matApproxEqual(t, prod, id, 1e-8, "A * A^-1")
 }
 
-func TestCholeskyLogDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 0}, {0, 8}})
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c.LogDet()-math.Log(16)) > 1e-12 {
-		t.Fatalf("LogDet = %g, want %g", c.LogDet(), math.Log(16))
-	}
-}
-
+// TestCholeskyTriangularSolves checks the row-wise substitutions the IPM
+// runs: ForwardSolveRows solves L y = b, SolveRows solves A x = b.
 func TestCholeskyTriangularSolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randSPD(rng, 5)
-	c, err := NewCholesky(a)
+	c, err := new(CholWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := []float64{1, 2, 3, 4, 5}
-	y := c.SolveLowerVec(CloneVec(b))
-	// L y should equal b.
-	ly := c.L.MulVec(y)
+	y := NewDenseFrom([][]float64{b})
+	c.ForwardSolveRows(y, 1)
+	ly := mulVec(c.L, y.Data)
 	for i := range b {
 		if math.Abs(ly[i]-b[i]) > 1e-10 {
-			t.Fatalf("SolveLowerVec residual %g", ly[i]-b[i])
+			t.Fatalf("ForwardSolveRows residual %g", ly[i]-b[i])
 		}
 	}
-	z := c.SolveLowerTVec(CloneVec(b))
-	ltz := c.L.T().MulVec(z)
+	x := NewDenseFrom([][]float64{b})
+	c.SolveRows(x, 1)
+	ax := mulVec(a, x.Data)
 	for i := range b {
-		if math.Abs(ltz[i]-b[i]) > 1e-10 {
-			t.Fatalf("SolveLowerTVec residual %g", ltz[i]-b[i])
+		if math.Abs(ax[i]-b[i]) > 1e-10 {
+			t.Fatalf("SolveRows residual %g", ax[i]-b[i])
 		}
 	}
-}
-
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(10)
-		a := NewDense(n, n)
-		for i := range a.Data {
-			a.Data[i] = r.NormFloat64()
-		}
-		for i := 0; i < n; i++ {
-			a.Add(i, i, float64(n)) // diagonally dominant → nonsingular
-		}
-		xTrue := make([]float64, n)
-		for i := range xTrue {
-			xTrue[i] = r.NormFloat64()
-		}
-		b := a.MulVec(xTrue)
-		lu, err := NewLU(a)
-		if err != nil {
-			return false
-		}
-		x := lu.SolveVec(b)
-		for i := range x {
-			if math.Abs(x[i]-xTrue[i]) > 1e-8*(1+NormInf(xTrue)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()-3) > 1e-12 {
-		t.Fatalf("Det = %g, want 3", lu.Det())
-	}
-}
-
-func TestLUDetPermutationSign(t *testing.T) {
-	// A matrix requiring a row swap: det should keep its sign.
-	a := NewDenseFrom([][]float64{{0, 1}, {1, 0}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lu.Det()+1) > 1e-12 {
-		t.Fatalf("Det = %g, want -1", lu.Det())
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := NewDenseFrom([][]float64{{1, 2}, {2, 4}})
-	if _, err := NewLU(a); err == nil {
-		t.Fatal("expected ErrSingular")
-	}
-}
-
-func TestLUSolveMatrix(t *testing.T) {
-	a := NewDenseFrom([][]float64{{3, 1}, {1, 2}})
-	lu, err := NewLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := lu.Solve(Identity(2))
-	prod := MatMul(a, x)
-	matApproxEqual(t, prod, Identity(2), 1e-12, "LU inverse")
 }
 
 func TestCG(t *testing.T) {
@@ -210,10 +127,10 @@ func TestCG(t *testing.T) {
 	for i := range xTrue {
 		xTrue[i] = rng.NormFloat64()
 	}
-	b := a.MulVec(xTrue)
+	b := mulVec(a, xTrue)
 	x := make([]float64, n)
-	res := CG(func(dst, v []float64) {
-		copy(dst, a.MulVec(v))
+	res := CGWith(new(CGWork), func(dst, v []float64) {
+		copy(dst, mulVec(a, v))
 	}, b, x, 1e-12, 10*n)
 	if !res.Converged {
 		t.Fatalf("CG did not converge: %+v", res)
@@ -231,7 +148,7 @@ func TestCGExactArithmeticTermination(t *testing.T) {
 	a := NewDenseFrom([][]float64{{2, 1, 0}, {1, 2, 1}, {0, 1, 2}})
 	b := []float64{1, 0, 1}
 	x := make([]float64, 3)
-	res := CG(func(dst, v []float64) { copy(dst, a.MulVec(v)) }, b, x, 1e-10, 6)
+	res := CGWith(new(CGWork), func(dst, v []float64) { copy(dst, mulVec(a, v)) }, b, x, 1e-10, 6)
 	if !res.Converged {
 		t.Fatalf("CG failed on tiny system: %+v", res)
 	}

@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear algebra kernels used throughout
-// the floorplanner: matrices, factorizations (Cholesky, LDLᵀ, LU), a
-// symmetric eigensolver, and iterative solvers. Everything is implemented on
-// top of the standard library only; matrices are dense row-major float64.
+// the floorplanner: matrices, products, a blocked Cholesky factorization, a
+// symmetric eigensolver, and a conjugate-gradient solver. Everything is
+// implemented on top of the standard library only; matrices are dense
+// row-major float64.
 //
 // The package is deliberately small and specialized: the SDP interior-point
 // solver needs symmetric matrices of order a few hundred, Cholesky and
@@ -132,26 +133,6 @@ func (m *Dense) TransposeInto(dst *Dense) {
 	}
 }
 
-// MatMul computes a*b into a new matrix.
-func MatMul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: MatMul dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewDense(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a*b. dst must not alias a or b.
-//
-//sdpvet:hotpath
-func MatMulInto(dst, a, b *Dense) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("linalg: MatMulInto dimension mismatch")
-	}
-	matMulRows(dst, a, b, 0, a.Rows)
-}
-
 // mulTileCols returns the b-panel tile width for mulABtRows: wide enough to
 // amortize loop overhead, narrow enough that a panel of k × tile doubles
 // stays cache-resident while the i loop streams over it. Tiling only
@@ -171,9 +152,9 @@ func mulTileCols(k int) int {
 }
 
 // matMulRows computes rows [lo, hi) of dst = a*b, zeroing them first — the
-// row-range kernel shared by the sequential and parallel matmul entry
-// points. The ikj order streams whole rows of b, which the hardware
-// prefetcher handles well; column-tiling this kernel measured 25–35% slower
+// row-range kernel behind MatMulWork.MatMulInto. The ikj order streams
+// whole rows of b, which the hardware prefetcher handles well;
+// column-tiling this kernel measured 25–35% slower
 // (extra passes over a's rows and weaker bounds-check elimination), so the
 // cache-blocked variants live only where they pay: mulABtRows and the
 // blocked Cholesky.
@@ -198,42 +179,6 @@ func matMulRows(dst, a, b *Dense, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MulVec computes m*x into a new vector.
-func (m *Dense) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecT computes mᵀ*x into a new vector.
-func (m *Dense) MulVecT(x []float64) []float64 {
-	if len(x) != m.Rows {
-		panic("linalg: MulVecT dimension mismatch")
-	}
-	out := make([]float64, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			out[j] += v * xi
-		}
-	}
-	return out
 }
 
 // InnerProd returns the Frobenius inner product ⟨a, b⟩ = Σᵢⱼ aᵢⱼ bᵢⱼ.
@@ -269,17 +214,6 @@ func (m *Dense) FrobNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbs returns the largest |mᵢⱼ|.
-func (m *Dense) MaxAbs() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Symmetrize replaces m with (m + mᵀ)/2. m must be square.
 func (m *Dense) Symmetrize() {
 	if m.Rows != m.Cols {
@@ -293,22 +227,6 @@ func (m *Dense) Symmetrize() {
 			m.Data[j*n+i] = v
 		}
 	}
-}
-
-// IsSymmetric reports whether |mᵢⱼ − mⱼᵢ| ≤ tol for all i, j.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	n := m.Rows
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if math.Abs(m.Data[i*n+j]-m.Data[j*n+i]) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // String renders the matrix for debugging.

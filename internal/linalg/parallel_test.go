@@ -3,6 +3,7 @@ package linalg
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,14 +45,22 @@ func assertBitIdentical(t *testing.T, name string, ref, got *Dense, workers int)
 	}
 }
 
+// The bitwise tests below pin the entry points the solvers call: each runs
+// the kernel at workers = 1 as the reference and requires every other worker
+// count to reproduce it bit for bit.
+
 func TestMatMulPBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var mm MatMulWork
 	for _, dims := range [][3]int{{3, 4, 5}, {65, 40, 70}, {130, 130, 130}} {
 		a := randMat(rng, dims[0], dims[1])
 		b := randMat(rng, dims[1], dims[2])
-		ref := MatMul(a, b)
+		ref := NewDense(dims[0], dims[2])
+		mm.MatMulInto(ref, a, b, 1)
 		for _, w := range workerCounts {
-			assertBitIdentical(t, "MatMulP", ref, MatMulP(a, b, w), w)
+			got := NewDense(dims[0], dims[2])
+			mm.MatMulInto(got, a, b, w)
+			assertBitIdentical(t, "MatMulWork.MatMulInto", ref, got, w)
 		}
 	}
 }
@@ -60,17 +69,21 @@ func TestMulABtBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randMat(rng, 90, 40)
 	b := randMat(rng, 110, 40)
-	ref := MulABt(a, b)
-	// Reference against MatMul with an explicit transpose (values, not bits:
-	// MulABt uses the unrolled dot kernel with its own association).
-	chk := MatMul(a, b.T())
+	var mm MatMulWork
+	ref := NewDense(90, 110)
+	mm.MulABtInto(ref, a, b, 1)
+	// Reference against MatMulInto with an explicit transpose (values, not
+	// bits: MulABtInto uses the unrolled dot kernel with its own association).
+	chk := matMul(a, b.T())
 	for i := range ref.Data {
 		if math.Abs(ref.Data[i]-chk.Data[i]) > 1e-9 {
-			t.Fatalf("MulABt element %d = %v, MatMul says %v", i, ref.Data[i], chk.Data[i])
+			t.Fatalf("MulABtInto element %d = %v, MatMulInto says %v", i, ref.Data[i], chk.Data[i])
 		}
 	}
 	for _, w := range workerCounts {
-		assertBitIdentical(t, "MulABtP", ref, MulABtP(a, b, w), w)
+		got := NewDense(90, 110)
+		mm.MulABtInto(got, a, b, w)
+		assertBitIdentical(t, "MatMulWork.MulABtInto", ref, got, w)
 	}
 }
 
@@ -78,16 +91,17 @@ func TestCholeskyPBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{10, 64, 120} {
 		a := randSPD(rng, n)
-		ref, err := NewCholesky(a)
+		ref, err := new(CholWork).Factor(a, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
+		var cw CholWork
 		for _, w := range workerCounts {
-			got, err := NewCholeskyP(a, w)
+			got, err := cw.Factor(a, w)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
-			assertBitIdentical(t, "NewCholeskyP", ref.L, got.L, w)
+			assertBitIdentical(t, "CholWork.Factor", ref.L, got.L, w)
 		}
 	}
 }
@@ -96,12 +110,10 @@ func TestCholeskyPNotPosDef(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randSPD(rng, 80)
 	a.Set(40, 40, -1) // indefinite
+	var cw CholWork
 	for _, w := range workerCounts {
-		if _, err := NewCholeskyP(a, w); err == nil {
-			t.Fatalf("workers=%d: factored an indefinite matrix", w)
-		}
-		if IsPosDefP(a, w) {
-			t.Fatalf("workers=%d: IsPosDefP true for indefinite matrix", w)
+		if _, err := cw.Factor(a, w); !errors.Is(err, ErrNotPositiveDefinite) {
+			t.Fatalf("workers=%d: err = %v, want ErrNotPositiveDefinite", w, err)
 		}
 	}
 }
@@ -109,18 +121,27 @@ func TestCholeskyPNotPosDef(t *testing.T) {
 func TestSolvePBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randSPD(rng, 70)
-	c, err := NewCholesky(a)
+	c, err := new(CholWork).Factor(a, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := randMat(rng, 70, 33)
-	ref := c.Solve(b)
+	b := randMat(rng, 33, 70) // 33 right-hand sides, one per row
+	ref := b.Clone()
+	c.SolveRows(ref, 1)
+	fwdRef := b.Clone()
+	c.ForwardSolveRows(fwdRef, 1)
+	refInv := NewDense(70, 70)
+	c.InverseInto(refInv, 1)
 	for _, w := range workerCounts {
-		assertBitIdentical(t, "SolveP", ref, c.SolveP(b, w), w)
-	}
-	refInv := c.Inverse()
-	for _, w := range workerCounts {
-		assertBitIdentical(t, "InverseP", refInv, c.InverseP(w), w)
+		got := b.Clone()
+		c.SolveRows(got, w)
+		assertBitIdentical(t, "SolveRows", ref, got, w)
+		fwd := b.Clone()
+		c.ForwardSolveRows(fwd, w)
+		assertBitIdentical(t, "ForwardSolveRows", fwdRef, fwd, w)
+		inv := NewDense(70, 70)
+		c.InverseInto(inv, w)
+		assertBitIdentical(t, "InverseInto", refInv, inv, w)
 	}
 }
 
@@ -129,13 +150,14 @@ func TestSymEigPBitIdentical(t *testing.T) {
 	for _, n := range []int{5, 80, 150} {
 		a := randMat(rng, n, n)
 		a.Symmetrize()
-		ref, err := NewSymEig(a)
+		rw := new(EigWork)
+		ref, err := rw.Factor(a, 1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		refV := ref.V
+		var ew EigWork
 		for _, w := range workerCounts {
-			got, err := NewSymEigP(a, w)
+			got, err := ew.Factor(a, w)
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
@@ -144,10 +166,10 @@ func TestSymEigPBitIdentical(t *testing.T) {
 					t.Fatalf("n=%d workers=%d: eigenvalue %d = %v, want %v", n, w, j, got.Values[j], ref.Values[j])
 				}
 			}
-			assertBitIdentical(t, "NewSymEigP.V", refV, got.V, w)
+			assertBitIdentical(t, "EigWork.Factor.V", ref.V, got.V, w)
 		}
 		// And it is actually a decomposition.
-		rec := ref.Reconstruct()
+		rec := reconstruct(rw)
 		for i := range a.Data {
 			if math.Abs(rec.Data[i]-a.Data[i]) > 1e-8*float64(n) {
 				t.Fatalf("n=%d: reconstruction off at %d: %v vs %v", n, i, rec.Data[i], a.Data[i])
@@ -156,20 +178,28 @@ func TestSymEigPBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPSDProjectPBitIdentical pins the ADMM projection step: PSDProjectInto
+// on a recycled workspace, across worker counts.
 func TestPSDProjectPBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randMat(rng, 90, 90)
 	a.Symmetrize()
-	eg, err := NewSymEig(a)
-	if err != nil {
+	var ew EigWork
+	if _, err := ew.Factor(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	ref := eg.PSDProject()
+	ref := NewDense(90, 90)
+	ew.PSDProjectInto(ref, 1)
 	for _, w := range workerCounts {
-		assertBitIdentical(t, "PSDProjectP", ref, eg.PSDProjectP(w), w)
+		if _, err := ew.Factor(a, w); err != nil {
+			t.Fatal(err)
+		}
+		got := NewDense(90, 90)
+		ew.PSDProjectInto(got, w)
+		assertBitIdentical(t, "EigWork.PSDProjectInto", ref, got, w)
 	}
 	// Projection must be PSD up to numerical noise.
-	peg, err := NewSymEig(ref)
+	peg, err := new(EigWork).Factor(ref, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

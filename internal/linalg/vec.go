@@ -17,17 +17,6 @@ func Dot(x, y []float64) float64 {
 // Norm2 returns the Euclidean norm of x.
 func Norm2(x []float64) float64 { return math.Sqrt(Dot(x, x)) }
 
-// NormInf returns max |xᵢ| (0 for empty x).
-func NormInf(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
 // Axpy performs y += a*x in place.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -36,42 +25,4 @@ func Axpy(a float64, x, y []float64) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-}
-
-// ScaleVec multiplies x by a in place.
-func ScaleVec(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// CloneVec returns a copy of x.
-func CloneVec(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
-}
-
-// SubVec returns x − y as a new vector.
-func SubVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: SubVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] - y[i]
-	}
-	return out
-}
-
-// AddVec returns x + y as a new vector.
-func AddVec(x, y []float64) []float64 {
-	if len(x) != len(y) {
-		panic("linalg: AddVec length mismatch")
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + y[i]
-	}
-	return out
 }

@@ -143,93 +143,15 @@ func (nl *Netlist) PadAdjacency() *linalg.Dense {
 	return a
 }
 
-// minParNets is the net count below which the parallel adjacency builders
-// run sequentially (the per-net work is a handful of adds).
-const minParNets = 512
-
-// AdjacencyP is Adjacency with the nets swept in fixed chunks over the
-// worker pool; each chunk accumulates into a private partial matrix and the
-// partials are summed in chunk order. The chunk layout and reduction order
-// are fixed by the requested worker count, so the result is deterministic
-// for a fixed count (summation order — and hence the last floating-point
-// bits — can differ between different counts).
-func (nl *Netlist) AdjacencyP(workers int) *linalg.Dense {
-	n := nl.N()
-	w := parallel.Workers(workers)
-	if w <= 1 || len(nl.Nets) < minParNets {
-		return nl.Adjacency()
-	}
-	parts := make([]*linalg.Dense, parallel.Chunks(w, len(nl.Nets), minParNets))
-	parallel.ForChunked(w, len(nl.Nets), minParNets, func(c, lo, hi int) {
-		a := linalg.NewDense(n, n)
-		for _, e := range nl.Nets[lo:hi] {
-			d := len(e.Modules)
-			if d < 2 {
-				continue
-			}
-			wt := e.Weight / float64(d-1)
-			for x := 0; x < d; x++ {
-				for y := x + 1; y < d; y++ {
-					i, j := e.Modules[x], e.Modules[y]
-					a.Add(i, j, wt)
-					a.Add(j, i, wt)
-				}
-			}
-		}
-		parts[c] = a
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.AddScaled(1, p)
-	}
-	return out
-}
-
-// PadAdjacencyP is PadAdjacency with the same chunked-partials scheme as
-// AdjacencyP (deterministic for a fixed worker count).
-func (nl *Netlist) PadAdjacencyP(workers int) *linalg.Dense {
-	n, m := nl.N(), len(nl.Pads)
-	w := parallel.Workers(workers)
-	if w <= 1 || len(nl.Nets) < minParNets {
-		return nl.PadAdjacency()
-	}
-	parts := make([]*linalg.Dense, parallel.Chunks(w, len(nl.Nets), minParNets))
-	parallel.ForChunked(w, len(nl.Nets), minParNets, func(c, lo, hi int) {
-		a := linalg.NewDense(n, m)
-		for _, e := range nl.Nets[lo:hi] {
-			total := len(e.Modules) + len(e.Pads)
-			if total < 2 || len(e.Pads) == 0 || len(e.Modules) == 0 {
-				continue
-			}
-			wt := e.Weight / float64(total-1)
-			for _, i := range e.Modules {
-				for _, j := range e.Pads {
-					a.Add(i, j, wt)
-				}
-			}
-		}
-		parts[c] = a
-	})
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out.AddScaled(1, p)
-	}
-	return out
-}
-
-// BuildB constructs the constant matrix B of Eq. (8) from a (possibly
-// asymmetric) adjacency matrix A, such that ⟨B, G⟩ = Σᵢⱼ A_ij‖xᵢ−xⱼ‖².
-func BuildB(a *linalg.Dense) *linalg.Dense {
-	return BuildBP(a, 1)
-}
-
-// BuildBP is BuildB with the rows split across the worker pool. Every row of
-// the output is computed independently in the sequential element order, so
-// the result is bitwise identical to BuildB for any worker count.
+// BuildBP constructs the constant matrix B of Eq. (8) from a (possibly
+// asymmetric) adjacency matrix A, such that ⟨B, G⟩ = Σᵢⱼ A_ij‖xᵢ−xⱼ‖², with
+// the rows split across the worker pool. Every row of the output is computed
+// independently in the sequential element order, so the result is bitwise
+// identical for any worker count.
 func BuildBP(a *linalg.Dense, workers int) *linalg.Dense {
 	n := a.Rows
 	if a.Cols != n {
-		panic("netlist: BuildB requires square A")
+		panic("netlist: BuildBP requires square A")
 	}
 	b := linalg.NewDense(n, n)
 	parallel.For(parallel.Workers(workers), n, 64, func(lo, hi int) {
@@ -278,27 +200,6 @@ func (nl *Netlist) HPWL(centers []geom.Point) float64 {
 		var bb geom.BBox
 		for _, i := range e.Modules {
 			bb.Extend(centers[i])
-		}
-		for _, p := range e.Pads {
-			bb.Extend(nl.Pads[p].Pos)
-		}
-		total += e.Weight * bb.HalfPerimeter()
-	}
-	return total
-}
-
-// PinHPWL returns HPWL using exact pin locations supplied per module (for
-// post-legalization reporting, pins offset from the module origin could be
-// used; the floorplanning literature evaluates at block centers, which is
-// what HPWL does — PinHPWL exists for callers that place pins elsewhere).
-func (nl *Netlist) PinHPWL(pins [][]geom.Point) float64 {
-	total := 0.0
-	for _, e := range nl.Nets {
-		var bb geom.BBox
-		for _, i := range e.Modules {
-			for _, p := range pins[i] {
-				bb.Extend(p)
-			}
 		}
 		for _, p := range e.Pads {
 			bb.Extend(nl.Pads[p].Pos)

@@ -117,8 +117,9 @@ func TestBuildBInnerProductIdentity(t *testing.T) {
 			x.Set(0, j, centers[j].X)
 			x.Set(1, j, centers[j].Y)
 		}
-		g := linalg.MatMul(x.T(), x)
-		b := BuildB(a)
+		g := linalg.NewDense(n, n)
+		new(linalg.MatMulWork).MulABtInto(g, x.T(), x.T(), 1)
+		b := BuildBP(a, 1)
 		lhs := linalg.InnerProd(b, g)
 		rhs := WeightedPairDistance(a, centers, geom.Point.DistSq)
 		return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(rhs))
@@ -140,7 +141,7 @@ func TestBuildBRowSumsZero(t *testing.T) {
 			a.Set(j, i, w)
 		}
 	}
-	b := BuildB(a)
+	b := BuildBP(a, 1)
 	for i := 0; i < n; i++ {
 		s := 0.0
 		for j := 0; j < n; j++ {

@@ -6,10 +6,9 @@
 //
 //   - Determinism. Every helper splits its index space into contiguous
 //     chunks whose boundaries depend only on (n, workers). Callers arrange
-//     for chunks to write disjoint outputs (or reduce per-chunk partials in
-//     chunk-index order), so results are bitwise-reproducible for a fixed
-//     worker count — and, when per-element operation order is unchanged,
-//     across all worker counts.
+//     for chunks to write disjoint outputs with an unchanged per-element
+//     operation order, so results are bitwise identical across all worker
+//     counts.
 //   - Bounded concurrency. One process-wide pool serves every concurrent
 //     solve: a job may request any chunk count, but at most poolSize
 //     goroutines ever run chunks at once, so service-level concurrency ×
@@ -22,8 +21,8 @@
 //     a process-wide free list (a mutex-guarded stack, deliberately not a
 //     sync.Pool: GC never drains it, so allocs/op is deterministic) and
 //     chunks are claimed from an atomic counter — no per-chunk closures or
-//     range slices. For/ForChunked/ForTri allocate nothing beyond whatever
-//     closure the caller passes in.
+//     range slices. For and ForTri allocate nothing beyond whatever closure
+//     the caller passes in.
 //
 // The pool size defaults to GOMAXPROCS and can be overridden with the
 // SDPFLOOR_WORKERS environment variable. Worker counts requested per call
@@ -52,12 +51,11 @@ var (
 // counter; chunk boundaries are recomputed from (n, w, chunk) on demand so
 // the descriptor carries no per-chunk state.
 type job struct {
-	fn   func(lo, hi int)        // For / ForTri body (nil when fnc is set)
-	fnc  func(chunk, lo, hi int) // ForChunked body
-	n    int                     // index range (rows, for tri jobs)
-	w    int                     // chunk count
-	tri  bool                    // triangular-balanced boundaries
-	next int64                   // atomic: next unclaimed chunk
+	fn   func(lo, hi int) // For / ForTri body
+	n    int              // index range (rows, for tri jobs)
+	w    int              // chunk count
+	tri  bool             // triangular-balanced boundaries
+	next int64            // atomic: next unclaimed chunk
 
 	chunks  sync.WaitGroup // one count per chunk; Done as each completes
 	helpers sync.WaitGroup // one count per pool worker holding the job
@@ -77,11 +75,7 @@ func (j *job) runChunks() {
 		} else {
 			lo, hi = c*j.n/j.w, (c+1)*j.n/j.w
 		}
-		if j.fnc != nil {
-			j.fnc(c, lo, hi)
-		} else {
-			j.fn(lo, hi)
-		}
+		j.fn(lo, hi)
 		j.chunks.Done()
 	}
 }
@@ -108,7 +102,7 @@ func getJob() *job {
 }
 
 func putJob(j *job) {
-	j.fn, j.fnc = nil, nil // do not retain caller closures
+	j.fn = nil // do not retain caller closures
 	jobFree.Lock()
 	jobFree.list = append(jobFree.list, j)
 	jobFree.Unlock()
@@ -136,7 +130,7 @@ func (j *job) dispatch() {
 }
 
 // setup starts the shared pool on first use. poolSize-1 background
-// goroutines are spawned (the caller of For/Do always executes chunks
+// goroutines are spawned (the caller of For/ForTri always executes chunks
 // itself), with a floor of one so that single-CPU machines still exercise
 // real concurrency (and the race detector sees it).
 func setup() {
@@ -215,30 +209,9 @@ func For(workers, n, minPar int, fn func(lo, hi int)) {
 	putJob(j)
 }
 
-// ForChunked is For with the chunk index passed to fn — for callers that
-// accumulate into per-chunk partials and reduce them in chunk order.
-// The sequential fallback runs fn(0, 0, n).
-func ForChunked(workers, n, minPar int, fn func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minPar {
-		fn(0, 0, n)
-		return
-	}
-	j := getJob()
-	j.fnc, j.n, j.w, j.tri = fn, n, workers, false
-	j.dispatch()
-	putJob(j)
-}
-
 // ForTri splits the rows of a lower-triangular sweep (row k holding k+1
 // elements, m rows) into at most `workers` contiguous row ranges of roughly
-// equal element count and runs fn over each on the shared pool — the
-// zero-allocation replacement for TriRanges + Do in triangular kernels.
+// equal element count and runs fn over each on the shared pool.
 // Boundaries depend only on (m, workers), computed per chunk in closed form.
 //
 // Sequential fallback: workers ≤ 1 or fewer than minPar total elements
@@ -258,36 +231,6 @@ func ForTri(workers, m, minPar int, fn func(lo, hi int)) {
 	j.fn, j.n, j.w, j.tri = fn, m, workers, true
 	j.dispatch()
 	putJob(j)
-}
-
-// Chunks returns the number of chunks ForChunked will use for (workers, n,
-// minPar) — callers sizing per-chunk partial buffers must match its layout.
-func Chunks(workers, n, minPar int) int {
-	if n <= 0 {
-		return 0
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minPar {
-		return 1
-	}
-	return workers
-}
-
-// Do runs the given thunks concurrently on the shared pool and returns when
-// all have completed. Use it for one-off heterogeneous work that does not
-// decompose into a flat index range; hot loops should prefer For/ForTri,
-// which allocate nothing per call.
-func Do(thunks ...func()) {
-	switch len(thunks) {
-	case 0:
-		return
-	case 1:
-		thunks[0]()
-		return
-	}
-	ForChunked(len(thunks), len(thunks), 0, func(c, _, _ int) { thunks[c]() })
 }
 
 // triBound returns the row boundary before chunk c of a triangular sweep
@@ -321,8 +264,9 @@ func triBound(m, workers, c int) int {
 
 // TriRanges returns the full boundary slice for a triangular sweep: b with
 // len(b) = chunks+1, b[0] = 0, b[last] = m; chunk c covers rows
-// [b[c], b[c+1]). It allocates; chunk-at-a-time callers should use ForTri,
-// which computes the same boundaries in closed form per chunk.
+// [b[c], b[c+1]). It allocates, so kernels use ForTri, which computes the
+// same boundaries in closed form per chunk; TriRanges is the reference the
+// tests check ForTri's chunking against.
 func TriRanges(m, workers int) []int {
 	if workers > m {
 		workers = m

@@ -37,26 +37,23 @@ func TestForSequentialFallback(t *testing.T) {
 	}
 }
 
-func TestForChunkedPartition(t *testing.T) {
-	// Chunk layout must be the fixed c·n/w boundaries, exactly Chunks() of
-	// them, with no gaps or overlaps.
+func TestForPartition(t *testing.T) {
+	// Chunk layout must be exactly the `workers` fixed c·n/w boundaries.
 	for _, workers := range []int{2, 3, 8} {
 		n := 100
-		got := make(map[int][2]int)
-		var mu = make(chan struct{}, 1)
-		mu <- struct{}{}
-		ForChunked(workers, n, 0, func(c, lo, hi int) {
-			<-mu
-			got[c] = [2]int{lo, hi}
-			mu <- struct{}{}
+		var mu sync.Mutex
+		got := make(map[[2]int]bool)
+		For(workers, n, 0, func(lo, hi int) {
+			mu.Lock()
+			got[[2]int{lo, hi}] = true
+			mu.Unlock()
 		})
-		if len(got) != Chunks(workers, n, 0) {
-			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(got), Chunks(workers, n, 0))
+		if len(got) != workers {
+			t.Fatalf("workers=%d: %d chunks, want %d", workers, len(got), workers)
 		}
-		for c, r := range got {
-			wantLo, wantHi := c*n/workers, (c+1)*n/workers
-			if r[0] != wantLo || r[1] != wantHi {
-				t.Fatalf("workers=%d chunk %d: [%d,%d), want [%d,%d)", workers, c, r[0], r[1], wantLo, wantHi)
+		for c := 0; c < workers; c++ {
+			if r := [2]int{c * n / workers, (c + 1) * n / workers}; !got[r] {
+				t.Fatalf("workers=%d: chunk %d [%d,%d) missing from %v", workers, c, r[0], r[1], got)
 			}
 		}
 	}
@@ -75,26 +72,6 @@ func TestNestedForNoDeadlock(t *testing.T) {
 	})
 	if total != 800 {
 		t.Fatalf("nested total = %d, want 800", total)
-	}
-}
-
-func TestDoRunsAll(t *testing.T) {
-	var ran [5]int32
-	fs := make([]func(), len(ran))
-	for i := range fs {
-		i := i
-		fs[i] = func() { atomic.AddInt32(&ran[i], 1) }
-	}
-	Do(fs...)
-	for i, r := range ran {
-		if r != 1 {
-			t.Fatalf("thunk %d ran %d times", i, r)
-		}
-	}
-	Do() // no-op
-	Do(func() { atomic.AddInt32(&ran[0], 1) })
-	if ran[0] != 2 {
-		t.Fatal("single-thunk Do did not run inline")
 	}
 }
 
@@ -228,8 +205,8 @@ func TestForTriSequentialFallback(t *testing.T) {
 }
 
 // TestDispatchNoSteadyStateAllocs pins the zero-allocation contract the CI
-// alloc gate depends on: once the job free list is warm, For, ForChunked,
-// and ForTri allocate nothing per call beyond the caller's own closure.
+// alloc gate depends on: once the job free list is warm, For and ForTri
+// allocate nothing per call beyond the caller's own closure.
 func TestDispatchNoSteadyStateAllocs(t *testing.T) {
 	const n = 1024
 	buf := make([]float64, n)
@@ -238,16 +215,13 @@ func TestDispatchNoSteadyStateAllocs(t *testing.T) {
 			buf[i]++
 		}
 	}
-	fnc := func(_, lo, hi int) { fn(lo, hi) }
 	For(4, n, 0, fn) // warm the free list and the pool
-	ForChunked(4, n, 0, fnc)
 	ForTri(4, n, 0, fn)
 	cases := []struct {
 		name string
 		call func()
 	}{
 		{"For", func() { For(4, n, 0, fn) }},
-		{"ForChunked", func() { ForChunked(4, n, 0, fnc) }},
 		{"ForTri", func() { ForTri(4, n, 0, fn) }},
 	}
 	for _, c := range cases {

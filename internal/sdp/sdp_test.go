@@ -62,7 +62,7 @@ func TestIPMMinEigenvalue(t *testing.T) {
 				c.Set(j, i, v)
 			}
 		}
-		eg, err := linalg.NewSymEig(c)
+		eg, err := new(linalg.EigWork).Factor(c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,8 @@ func randomFeasibleSDP(rng *rand.Rand, n, m int) *Problem {
 	for i := range r.Data {
 		r.Data[i] = rng.NormFloat64()
 	}
-	x0 := linalg.MatMul(r.T(), r)
+	x0 := linalg.NewDense(n, n)
+	new(linalg.MatMulWork).MulABtInto(x0, r.T(), r.T(), 1)
 	for i := 0; i < n; i++ {
 		x0.Add(i, i, 1)
 	}
@@ -286,7 +287,7 @@ func TestIPMKyFanMatchesClosedForm(t *testing.T) {
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status = %v", sol.Status)
 	}
-	eg, err := linalg.NewSymEig(z)
+	eg, err := new(linalg.EigWork).Factor(z, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,6 +96,8 @@ func findModule(dir string) (root, modPath string, err error) {
 // Load resolves patterns to packages. Supported patterns: "./..." (every
 // package under the module root), "dir/..." (every package under dir),
 // and plain directory paths, all relative to the loader's module root.
+// Recursive patterns skip subdirectories that hold their own go.mod, as the
+// go command does: those belong to a nested module.
 // Every matched package is parsed and type-checked; per-package type
 // errors are recorded on Package.TypeErr rather than aborting the load.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
@@ -138,6 +140,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			name := d.Name()
 			if path != dir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 				name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			// A directory with its own go.mod is a different module, which
+			// "./..." leaves out in the go command too.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != dir && err == nil {
 				return filepath.SkipDir
 			}
 			addDir(path)

@@ -94,6 +94,18 @@ func TestLoaderImportCycle(t *testing.T) {
 	}
 }
 
+func TestLoaderSkipsNestedModules(t *testing.T) {
+	pkgs := loadTestModule(t)
+	for path := range pkgs {
+		if path == "nested" || strings.HasPrefix(path, "nested/") {
+			t.Fatalf("recursive load descended into the nested module: loaded %q", path)
+		}
+	}
+	if _, ok := pkgs["tagged"]; !ok {
+		t.Fatalf("sibling packages of the nested module not loaded; got %v", keys(pkgs))
+	}
+}
+
 func TestLoaderSinglePackagePattern(t *testing.T) {
 	loader, err := NewLoader(filepath.Join("testdata", "mod"))
 	if err != nil {

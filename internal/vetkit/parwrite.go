@@ -7,22 +7,23 @@ import (
 )
 
 // ParWrite enforces the element-disjoint-writes contract of the shared
-// worker pool (internal/parallel): a closure handed to parallel.For,
-// parallel.ForChunked, or parallel.Do runs concurrently with its
-// siblings, so it may write only into disjoint index ranges of shared
-// buffers. Compound assignments (`sum += ...`), increments, and
-// `s = append(s, ...)` on variables captured from the enclosing function
-// are the shared-accumulator smell: they race, and even when "fixed" with
-// a mutex they reintroduce scheduling-order-dependent floating-point
-// reduction, which breaks bitwise determinism without ever failing
-// -race. The fix is per-chunk partials reduced in chunk-index order
-// (parallel.ForChunked + parallel.Chunks).
+// worker pool (internal/parallel): a closure handed to parallel.For or
+// parallel.ForTri runs concurrently with its siblings, so it may write only
+// into disjoint index ranges of shared buffers. Compound assignments
+// (`sum += ...`), increments, and `s = append(s, ...)` on variables
+// captured from the enclosing function are the shared-accumulator smell:
+// they race, and even when "fixed" with a mutex they reintroduce
+// scheduling-order-dependent floating-point reduction, which breaks bitwise
+// determinism without ever failing -race. The fix is element-disjoint
+// writes: each chunk computes its own output elements in the sequential
+// per-element order, so the result is bitwise identical for every worker
+// count, and any reduction across elements runs after the join.
 //
 // Indexed writes (buf[i] = ...) are the sanctioned pattern and are never
 // flagged.
 var ParWrite = &Analyzer{
 	Name: "parwrite",
-	Doc:  "flag shared-accumulator writes to captured variables inside parallel.For/Do closures",
+	Doc:  "flag shared-accumulator writes to captured variables inside parallel.For/ForTri closures",
 	Run:  runParWrite,
 }
 
@@ -39,7 +40,7 @@ func runParWrite(cfg *Config, pkg *Package) []Diagnostic {
 			return true
 		}
 		switch fn.Name() {
-		case "For", "ForChunked", "Do":
+		case "For", "ForTri":
 		default:
 			return true
 		}
@@ -84,11 +85,11 @@ func checkClosure(pkg *Package, helper string, lit *ast.FuncLit) []Diagnostic {
 				case s.Tok == token.ASSIGN && i < len(s.Rhs) && isAppendTo(pkg.Info, s.Rhs[i], id):
 					diags = append(diags, pkg.diag(s.Pos(), "parwrite",
 						"append to captured variable \""+id.Name+"\" inside parallel."+helper+" closure",
-						"chunks race on the shared slice; collect per-chunk slices and merge in chunk order"))
+						"chunks race on the shared slice; write element i to its own slot of a presized slice"))
 				case s.Tok != token.ASSIGN && s.Tok != token.DEFINE:
 					diags = append(diags, pkg.diag(s.Pos(), "parwrite",
 						"compound assignment to captured variable \""+id.Name+"\" inside parallel."+helper+" closure",
-						"shared accumulator; use per-chunk partials reduced in chunk-index order (ForChunked)"))
+						"shared accumulator; write element-disjoint outputs (buf[i] = ...) and reduce them after the join"))
 				}
 			}
 		case *ast.IncDecStmt:
