@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint sdpvet vet-json race portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration perfbench-smoke clean
+.PHONY: build test check lint sdpvet vet-json race portfolio-race cover bench bench-baseline bench-allocs benchdiff fuzz-smoke eco integration perfbench-smoke trace-diff clean
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,19 @@ integration:
 # and iteration counts bit for bit. See perfbench/README.md.
 perfbench-smoke:
 	python3 perfbench/run.py --workload place-n10 --seed 1 --seconds 7 --trace 1
+
+# trace-diff proves a refactor keeps solver telemetry byte-identical: it
+# builds cmd/sdpfloor at BASE (a git revision, exported into a temp dir)
+# and from the working tree, runs both with -trace over n10, n30 and ami33
+# x -aspect 1 and 2 x SDPFLOOR_WORKERS 1 and 2, plus n10 with -method sa,
+# qp, analytic, ar, pp and sdp-hier, strips the leading "ts":N, of every
+# line (as trace.StripTS does) and exits non-zero on any difference.
+# Portfolio is left out: its arrival order depends on timing. A developer
+# check, not a CI gate: performance changes legitimately change traces.
+# Usage: make trace-diff BASE=<rev> (about 4 minutes on 2 vCPUs).
+trace-diff:
+	@test -n "$(BASE)" || { echo "usage: make trace-diff BASE=<rev>"; exit 2; }
+	sh scripts/trace-diff.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

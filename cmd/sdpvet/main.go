@@ -11,12 +11,16 @@
 //	ctxloop     loops in context-carrying functions must consult the context
 //	parwrite    no shared-accumulator writes in parallel.For/Do closures
 //	arenalease  arena checkouts released on every path; no lease escapes
-//	tracefinal  a trace start pairs with exactly one deferred final
+//	tracefinal  trace.Start is closed by a deferred Run.End registered at
+//	            once; no trace.Event literals outside internal/trace
 //	hotalloc    //sdpvet:hotpath functions contain no allocating constructs
 //	journalerr  journal/WAL write errors flow into a handler on every path
 //
-// The last four are path-sensitive: they run forward dataflow and
-// path-avoidance searches over an intraprocedural CFG (internal/vetkit).
+// The last four check function-wide contracts. arenalease and journalerr
+// are path-sensitive: they run path-avoidance searches over an
+// intraprocedural CFG (internal/vetkit). tracefinal and hotalloc are
+// syntactic; trace.Start and Run.End make tracefinal's one-final contract
+// structural.
 //
 // Usage:
 //

@@ -4,92 +4,86 @@ import "sdpvet.example/internal/trace"
 
 // --- firing cases ---
 
-// startNoFinal opens a trace and never closes it.
-func startNoFinal(rec trace.Recorder, on bool) {
-	if on {
-		rec.Record(trace.Event{Solver: "ipm", Kind: "start"}) // want tracefinal
-	}
+// eventLiteral builds an event by hand instead of going through a Run.
+func eventLiteral(rec trace.Recorder) {
+	rec.Record(trace.Event{Solver: "ipm", Kind: "iter"}) // want tracefinal
 }
 
-// finalNotDeferred emits the final inline, so the early return and any
-// panic skip it.
-func finalNotDeferred(rec trace.Recorder, iters int) {
-	rec.Record(trace.Event{Solver: "ipm", Kind: "start"})
+// endNotDeferred closes the run inline, so the early return and any
+// panic skip the final.
+func endNotDeferred(rec trace.Recorder, iters int) {
+	tr := trace.Start(rec, "ipm", nil) // want tracefinal
 	for i := 0; i < iters; i++ {
 		if i > 3 {
 			return
 		}
+		tr.Iter(i, nil)
 	}
-	rec.Record(trace.Event{Solver: "ipm", Kind: "final"}) // want tracefinal
+	tr.End(iters, "done", nil)
 }
 
-// doubleFinal emits a final both deferred and inline: consumers see two.
-func doubleFinal(rec trace.Recorder) {
-	defer rec.Record(trace.Event{Solver: "admm", Kind: "final"})
-	rec.Record(trace.Event{Solver: "admm", Kind: "start"})
-	rec.Record(trace.Event{Solver: "admm", Kind: "final"}) // want tracefinal
-}
-
-// twoDeferredFinals registers the final twice.
-func twoDeferredFinals(rec trace.Recorder) {
-	defer rec.Record(trace.Event{Solver: "admm", Kind: "final"})
-	defer rec.Record(trace.Event{Solver: "admm", Kind: "final", Status: "again"}) // want tracefinal
-	rec.Record(trace.Event{Solver: "admm", Kind: "start"})
-}
-
-// startBeforeDefer emits the start before the final is registered: a
-// panic in between would leave the trace open.
-func startBeforeDefer(rec trace.Recorder) {
-	rec.Record(trace.Event{Solver: "ipm", Kind: "start"}) // want tracefinal
-	defer rec.Record(trace.Event{Solver: "ipm", Kind: "final"})
-}
-
-// deferredFinalInLoop registers one final per iteration, and none at all
-// when the loop runs zero times.
-func deferredFinalInLoop(rec trace.Recorder, n int) {
-	for i := 0; i < n; i++ {
-		defer rec.Record(trace.Event{Solver: "ipm", Kind: "final"}) // want tracefinal
-	}
-	rec.Record(trace.Event{Solver: "ipm", Kind: "start"}) // want tracefinal
+// endDeferredLate registers the deferred End only after other work: a
+// panic in between leaves the run open.
+func endDeferredLate(rec trace.Recorder, work func()) {
+	tr := trace.Start(rec, "admm", nil) // want tracefinal
+	work()
+	defer tr.End(0, "done", nil)
 }
 
 // --- silent cases ---
 
-// tracedRun is the canonical contract: register the deferred final
-// first, then emit the start; iter events carry no pairing obligation.
-func tracedRun(rec trace.Recorder, iters int) {
-	status := "running"
-	if rec != nil && rec.Enabled() {
-		defer func() {
-			rec.Record(trace.Event{Solver: "ipm", Kind: "final", Status: status})
-		}()
-		rec.Record(trace.Event{Solver: "ipm", Kind: "start"})
-	}
+// engineRun is the engine idiom: Start, then the deferred End on the next
+// statement; a nil run (tracing off) makes every call a no-op.
+func engineRun(rec trace.Recorder, iters int) {
+	status := "limit"
+	tr := trace.Start(rec, "ipm", func() []trace.Field {
+		return []trace.Field{{Key: "maxIter", Val: float64(iters)}}
+	})
+	defer func() {
+		tr.End(iters, status, nil)
+	}()
 	for i := 0; i < iters; i++ {
-		if rec != nil && rec.Enabled() {
-			rec.Record(trace.Event{Solver: "ipm", Kind: "iter", Iter: i})
-		}
+		tr.Iter(i, nil)
 		if i == 7 {
 			status = "early"
 			return
 		}
 	}
-	status = "done"
 }
 
-// goroutineTrace scopes the contract per function literal: the goroutine
-// body pairs its own start and final.
-func goroutineTrace(rec trace.Recorder) {
+// raceRuns is the multi-run idiom: the race run's defer, registered
+// before any contender run starts, ends the contender runs and then the
+// race run.
+func raceRuns(rec trace.Recorder, names []string) {
+	var runs []*trace.Run
+	race := trace.Start(rec, "portfolio", nil)
+	defer func() {
+		for i := range runs {
+			runs[i].End(0, "lost", nil)
+		}
+		race.End(len(names), "won", nil)
+	}()
+	if race != nil {
+		runs = make([]*trace.Run, len(names))
+		for i, name := range names {
+			runs[i] = trace.Start(trace.WithRun(rec, name), "portfolio", nil)
+		}
+	}
+}
+
+// goroutineRun scopes the contract per function literal: the goroutine
+// body closes its own run.
+func goroutineRun(rec trace.Recorder) {
 	go func() {
-		defer rec.Record(trace.Event{Solver: "worker", Kind: "final"})
-		rec.Record(trace.Event{Solver: "worker", Kind: "start"})
+		tr := trace.Start(rec, "worker", nil)
+		defer tr.End(1, "done", nil)
 	}()
 }
 
 // --- waived case ---
 
-// waivedStart documents a start whose final is emitted by the caller.
-func waivedStart(rec trace.Recorder) {
-	//sdpvet:ignore tracefinal corpus demonstration: the final is emitted by the caller
-	rec.Record(trace.Event{Solver: "ipm", Kind: "start"})
+// openRun hands its run to the caller, which ends it.
+func openRun(rec trace.Recorder) *trace.Run {
+	//sdpvet:ignore tracefinal corpus demonstration: the caller defers End
+	return trace.Start(rec, "ipm", nil)
 }

@@ -126,30 +126,24 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 	var cancelErr error
 	rounds := 0
 	hpwl := 0.0
-	tracing := opt.Trace != nil && opt.Trace.Enabled()
-	if tracing {
-		// Deferred — and registered before the start — so the completed
-		// ramp, a mid-ramp cancellation, and a panic all close the run
-		// with exactly one final.
-		defer func() {
-			status := "ok"
-			if cancelErr != nil {
-				status = "cancelled"
-			}
-			opt.Trace.Record(trace.Event{
-				Solver: "analytic", Kind: trace.KindFinal, Iter: rounds, Status: status,
-				Fields: []trace.Field{{Key: "hpwl", Val: hpwl}},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "analytic", Kind: trace.KindStart,
-			Fields: []trace.Field{
-				{Key: "n", Val: float64(n)},
-				{Key: "bins", Val: float64(opt.Bins)},
-				{Key: "rounds", Val: float64(opt.Rounds)},
-			},
+	tr := trace.Start(opt.Trace, "analytic", func() []trace.Field {
+		return []trace.Field{
+			{Key: "n", Val: float64(n)},
+			{Key: "bins", Val: float64(opt.Bins)},
+			{Key: "rounds", Val: float64(opt.Rounds)},
+		}
+	})
+	// Deferred so the completed ramp, a mid-ramp cancellation, and a
+	// panic all close the run with exactly one final.
+	defer func() {
+		status := "ok"
+		if cancelErr != nil {
+			status = "cancelled"
+		}
+		tr.End(rounds, status, func() []trace.Field {
+			return []trace.Field{{Key: "hpwl", Val: hpwl}}
 		})
-	}
+	}()
 	for round := 0; round < opt.Rounds; round++ {
 		if opt.Context != nil {
 			if err := opt.Context.Err(); err != nil {
@@ -180,16 +174,13 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 		res := optimize.Minimize(obj, xv, optimize.Options{MaxIter: opt.InnerIter, GradTol: 1e-7, Context: opt.Context, Trace: opt.Trace})
 		copy(xv, res.X)
 		rounds = round + 1
-		if tracing {
-			opt.Trace.Record(trace.Event{
-				Solver: "analytic", Kind: trace.KindIter, Iter: round,
-				Fields: []trace.Field{
-					{Key: "lambda", Val: lam},
-					{Key: "gamma", Val: gam},
-					{Key: "f", Val: res.F},
-				},
-			})
-		}
+		tr.Iter(round, func() []trace.Field {
+			return []trace.Field{
+				{Key: "lambda", Val: lam},
+				{Key: "gamma", Val: gam},
+				{Key: "f", Val: res.F},
+			}
+		})
 		if res.Err != nil {
 			cancelErr = fmt.Errorf("analytic: cancelled in round %d: %w", round, res.Err)
 			break

@@ -112,33 +112,28 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 	accepted := 0
 	steps := 0
 	var cancelErr error
-	tracing := opt.Trace != nil && opt.Trace.Enabled()
-	if tracing {
-		// Deferred so the schedule running dry and mid-schedule
-		// cancellation both close the trace with one "sa" final.
-		defer func() {
-			status := "ok"
-			if cancelErr != nil {
-				status = "cancelled"
+	tr := trace.Start(opt.Trace, "sa", func() []trace.Field {
+		return []trace.Field{
+			{Key: "n", Val: float64(n)},
+			{Key: "movesPerTemp", Val: float64(opt.MovesPerTemp)},
+			{Key: "coolingRate", Val: opt.CoolingRate},
+			{Key: "t0", Val: t0},
+		}
+	})
+	// Deferred so the schedule running dry and mid-schedule cancellation
+	// both close the trace with one "sa" final.
+	defer func() {
+		status := "ok"
+		if cancelErr != nil {
+			status = "cancelled"
+		}
+		tr.End(steps, status, func() []trace.Field {
+			return []trace.Field{
+				{Key: "cost", Val: bestCost},
+				{Key: "accepted", Val: float64(accepted)},
 			}
-			opt.Trace.Record(trace.Event{
-				Solver: "sa", Kind: trace.KindFinal, Iter: steps, Status: status,
-				Fields: []trace.Field{
-					{Key: "cost", Val: bestCost},
-					{Key: "accepted", Val: float64(accepted)},
-				},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "sa", Kind: trace.KindStart,
-			Fields: []trace.Field{
-				{Key: "n", Val: float64(n)},
-				{Key: "movesPerTemp", Val: float64(opt.MovesPerTemp)},
-				{Key: "coolingRate", Val: opt.CoolingRate},
-				{Key: "t0", Val: t0},
-			},
 		})
-	}
+	}()
 	for temp := t0; temp > minTemp; temp *= opt.CoolingRate {
 		if opt.Context != nil {
 			if err := opt.Context.Err(); err != nil {
@@ -161,17 +156,14 @@ func Solve(nl *netlist.Netlist, opt Options) (*Result, error) {
 				undo()
 			}
 		}
-		if tracing {
-			opt.Trace.Record(trace.Event{
-				Solver: "sa", Kind: trace.KindIter, Iter: steps,
-				Fields: []trace.Field{
-					{Key: "temp", Val: temp},
-					{Key: "cost", Val: cost},
-					{Key: "best", Val: bestCost},
-					{Key: "accepted", Val: float64(accepted)},
-				},
-			})
-		}
+		tr.Iter(steps, func() []trace.Field {
+			return []trace.Field{
+				{Key: "temp", Val: temp},
+				{Key: "cost", Val: cost},
+				{Key: "best", Val: bestCost},
+				{Key: "accepted", Val: float64(accepted)},
+			}
+		})
 		steps++
 	}
 	st.restore(best)

@@ -262,31 +262,26 @@ func SolveQPOpts(nl *netlist.Netlist, opt QPOptions) (result *Result, err error)
 			return nil, fmt.Errorf("baseline: qp cancelled: %w", cerr)
 		}
 	}
-	if opt.Trace != nil && opt.Trace.Enabled() {
-		// Deferred — and registered before the start — so the
-		// singular-factorization, cancellation, and panic paths all close
-		// the trace alongside the success path.
-		defer func() {
-			status := "ok"
-			obj := 0.0
-			switch {
-			case err != nil && opt.Context != nil && opt.Context.Err() != nil:
-				status = "cancelled"
-			case err != nil:
-				status = "failed"
-			default:
-				obj = result.Objective
-			}
-			opt.Trace.Record(trace.Event{
-				Solver: "qp", Kind: trace.KindFinal, Iter: 1, Status: status,
-				Fields: []trace.Field{{Key: "obj", Val: obj}},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "qp", Kind: trace.KindStart,
-			Fields: []trace.Field{{Key: "n", Val: float64(n)}},
+	tr := trace.Start(opt.Trace, "qp", func() []trace.Field {
+		return []trace.Field{{Key: "n", Val: float64(n)}}
+	})
+	// Deferred so the singular-factorization, cancellation, and panic
+	// paths all close the trace alongside the success path.
+	defer func() {
+		status := "ok"
+		obj := 0.0
+		switch {
+		case err != nil && opt.Context != nil && opt.Context.Err() != nil:
+			status = "cancelled"
+		case err != nil:
+			status = "failed"
+		default:
+			obj = result.Objective
+		}
+		tr.End(1, status, func() []trace.Field {
+			return []trace.Field{{Key: "obj", Val: obj}}
 		})
-	}
+	}()
 	a := nl.Adjacency()
 	pa := nl.PadAdjacency()
 	c := linalg.NewDense(n, n)
@@ -348,31 +343,25 @@ func solveSmooth(ctx context.Context, solver string, rec trace.Recorder, nl *net
 	rng := rand.New(rand.NewSource(seed))
 	best := Result{Objective: math.Inf(1)}
 	var cancelErr error
-	tracing := rec != nil && rec.Enabled()
-	if tracing {
-		// Deferred — and registered before the start — so completion,
-		// cancellation, and panic paths alike close the run with exactly
-		// one final, carrying the best objective seen (Inf when
-		// cancellation preceded the first finished start).
-		defer func() {
-			status := "ok"
-			if cancelErr != nil {
-				status = "cancelled"
-			}
-			rec.Record(trace.Event{
-				Solver: solver, Kind: trace.KindFinal, Iter: best.Starts, Status: status,
-				Fields: []trace.Field{{Key: "obj", Val: best.Objective}},
-			})
-		}()
-		rec.Record(trace.Event{
-			Solver: solver, Kind: trace.KindStart,
-			Fields: []trace.Field{
-				{Key: "n", Val: float64(n)},
-				{Key: "starts", Val: float64(starts)},
-				{Key: "maxIter", Val: float64(maxIter)},
-			},
+	tr := trace.Start(rec, solver, func() []trace.Field {
+		return []trace.Field{
+			{Key: "n", Val: float64(n)},
+			{Key: "starts", Val: float64(starts)},
+			{Key: "maxIter", Val: float64(maxIter)},
+		}
+	})
+	// Deferred so completion, cancellation, and panic paths alike close
+	// the run with exactly one final, carrying the best objective seen
+	// (Inf when cancellation preceded the first finished start).
+	defer func() {
+		status := "ok"
+		if cancelErr != nil {
+			status = "cancelled"
+		}
+		tr.End(best.Starts, status, func() []trace.Field {
+			return []trace.Field{{Key: "obj", Val: best.Objective}}
 		})
-	}
+	}()
 
 	// Spread box for random starts.
 	var span geom.Rect
@@ -418,15 +407,12 @@ func solveSmooth(ctx context.Context, solver string, rec trace.Recorder, nl *net
 			}
 		}
 		best.Starts = s + 1
-		if tracing {
-			rec.Record(trace.Event{
-				Solver: solver, Kind: trace.KindIter, Iter: s,
-				Fields: []trace.Field{
-					{Key: "f", Val: res.F},
-					{Key: "best", Val: best.Objective},
-				},
-			})
-		}
+		tr.Iter(s, func() []trace.Field {
+			return []trace.Field{
+				{Key: "f", Val: res.F},
+				{Key: "best", Val: best.Objective},
+			}
+		})
 		if res.Err != nil {
 			cancelErr = fmt.Errorf("baseline: cancelled in start %d: %w", s, res.Err)
 			break

@@ -216,37 +216,35 @@ type Result struct {
 // Solve runs the two-level flow: cluster → top-level SDP → per-cluster SDP
 // refinement with external connections projected as pseudo-pads.
 func Solve(nl *netlist.Netlist, opt Options) (result *Result, err error) {
-	if opt.Trace != nil && opt.Trace.Enabled() {
-		// The "hier" engine stream brackets the whole hierarchy (recursive
-		// levels run inside this span; see solve). Deferred so the
-		// top-level solve failing, a refinement failing, and cancellation
-		// all close the run with one final.
-		defer func() {
-			status := "ok"
-			refines := 0
-			switch {
-			case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-				status = "cancelled"
-			case err != nil:
-				status = "failed"
-			default:
-				refines = result.RefineSolves
-			}
-			opt.Trace.Record(trace.Event{
-				Solver: "hier", Kind: trace.KindFinal, Iter: refines, Status: status,
-				Fields: []trace.Field{{Key: "refines", Val: float64(refines)}},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "hier", Kind: trace.KindStart,
-			Fields: []trace.Field{{Key: "n", Val: float64(nl.N())}},
+	// The "hier" engine stream brackets the whole hierarchy (recursive
+	// levels run inside this span; see solve).
+	tr := trace.Start(opt.Trace, "hier", func() []trace.Field {
+		return []trace.Field{{Key: "n", Val: float64(nl.N())}}
+	})
+	// Deferred so the top-level solve failing, a refinement failing, and
+	// cancellation all close the run with one final.
+	defer func() {
+		status := "ok"
+		refines := 0
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			status = "cancelled"
+		case err != nil:
+			status = "failed"
+		default:
+			refines = result.RefineSolves
+		}
+		tr.End(refines, status, func() []trace.Field {
+			return []trace.Field{{Key: "refines", Val: float64(refines)}}
 		})
-	}
-	return solve(nl, opt, 0)
+	}()
+	return solve(nl, opt, tr)
 }
 
-// solve is the recursion body; only depth 0 owns the "hier" trace span.
-func solve(nl *netlist.Netlist, opt Options, depth int) (*Result, error) {
+// solve is the recursion body. Only the top level owns the "hier" trace
+// run: recursion levels pass a nil tr and stay silent on the hier stream
+// (their SDP solves still trace).
+func solve(nl *netlist.Netlist, opt Options, tr *trace.Run) (*Result, error) {
 	n := nl.N()
 	if n == 0 {
 		return nil, errors.New("cluster: empty netlist")
@@ -315,7 +313,7 @@ func solve(nl *netlist.Netlist, opt Options, depth int) (*Result, error) {
 		if len(ms) > 3*opt.TargetClusterSize {
 			subOpt := opt
 			subOpt.Outline = region
-			subRes, err := solve(sub, subOpt, depth+1)
+			subRes, err := solve(sub, subOpt, nil)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: recursive refine of cluster %d: %w", c, err)
 			}
@@ -323,7 +321,7 @@ func solve(nl *netlist.Netlist, opt Options, depth int) (*Result, error) {
 			for li, m := range ms {
 				res.Centers[m] = subRes.Centers[li]
 			}
-			recordRefine(&opt, depth, c, len(ms), res.RefineSolves)
+			recordRefine(tr, c, len(ms), res.RefineSolves)
 			continue
 		}
 		refOpt := opt.Refine
@@ -348,23 +346,18 @@ func solve(nl *netlist.Netlist, opt Options, depth int) (*Result, error) {
 		for li, m := range ms {
 			res.Centers[m] = subRes.Centers[li]
 		}
-		recordRefine(&opt, depth, c, len(ms), res.RefineSolves)
+		recordRefine(tr, c, len(ms), res.RefineSolves)
 	}
 	return res, nil
 }
 
-// recordRefine emits the top-level per-cluster "hier" iter event; recursion
-// levels stay silent on the hier stream (their SDP solves still trace).
-func recordRefine(opt *Options, depth, cluster, members, refines int) {
-	if depth != 0 || opt.Trace == nil || !opt.Trace.Enabled() {
-		return
-	}
-	opt.Trace.Record(trace.Event{
-		Solver: "hier", Kind: trace.KindIter, Iter: cluster,
-		Fields: []trace.Field{
+// recordRefine emits the per-cluster "hier" iter event on tr.
+func recordRefine(tr *trace.Run, cluster, members, refines int) {
+	tr.Iter(cluster, func() []trace.Field {
+		return []trace.Field{
 			{Key: "members", Val: float64(members)},
 			{Key: "refines", Val: float64(refines)},
-		},
+		}
 	})
 }
 

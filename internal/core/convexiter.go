@@ -14,10 +14,6 @@ import (
 	"sdpfloor/internal/trace"
 )
 
-// traceOn reports whether rec is active; event construction is guarded on
-// it so disabled tracing adds no per-iteration work.
-func traceOn(rec trace.Recorder) bool { return rec != nil && rec.Enabled() }
-
 // IterRecord traces one convex iteration (used by the Fig. 5 experiments).
 type IterRecord struct {
 	Alpha       float64
@@ -69,47 +65,47 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 			return nil, err
 		}
 	}
-	if traceOn(opt.Trace) {
-		// Deferred so every return — success, cancellation (partial
-		// result), and sub-problem failure — closes the trace with one
-		// "core" final record.
-		defer func() {
-			st := "ok"
-			switch {
-			case err == nil:
-			case isContextErr(err):
-				st = "cancelled"
-			default:
-				st = "failed"
-			}
-			ev := trace.Event{Solver: "core", Kind: "final", Status: st}
-			if res != nil {
-				ev.Iter = res.Iterations
-				ev.Fields = []trace.Field{
-					{Key: "alpha", Val: res.AlphaFinal},
-					{Key: "obj", Val: res.Objective},
-					{Key: "wz", Val: res.WZ},
-					{Key: "rank", Val: float64(res.Rank)},
-					{Key: "rankOK", Val: boolField(res.RankOK)},
-					{Key: "solverIters", Val: float64(res.SolverIterations)},
-					{Key: "warmStarts", Val: float64(res.WarmStarts)},
-				}
-			}
-			opt.Trace.Record(ev)
-		}()
-		startFields := []trace.Field{
+	tr := trace.Start(opt.Trace, "core", func() []trace.Field {
+		fs := []trace.Field{
 			{Key: "n", Val: float64(n)},
 			{Key: "maxIter", Val: float64(opt.MaxIter)},
 			{Key: "maxDoublings", Val: float64(opt.AlphaMaxDoublings)},
 		}
 		if opt.Prior != nil {
-			startFields = append(startFields, trace.Field{Key: "prior", Val: 1})
+			fs = append(fs, trace.Field{Key: "prior", Val: 1})
 		}
-		opt.Trace.Record(trace.Event{
-			Solver: "core", Kind: "start",
-			Fields: startFields,
+		return fs
+	})
+	// Deferred so every return — success, cancellation (partial result),
+	// and sub-problem failure — closes the trace with one "core" final.
+	defer func() {
+		st := "ok"
+		switch {
+		case err == nil:
+		case isContextErr(err):
+			st = "cancelled"
+		default:
+			st = "failed"
+		}
+		iters := 0
+		if res != nil {
+			iters = res.Iterations
+		}
+		tr.End(iters, st, func() []trace.Field {
+			if res == nil {
+				return nil
+			}
+			return []trace.Field{
+				{Key: "alpha", Val: res.AlphaFinal},
+				{Key: "obj", Val: res.Objective},
+				{Key: "wz", Val: res.WZ},
+				{Key: "rank", Val: float64(res.Rank)},
+				{Key: "rankOK", Val: trace.Bool(res.RankOK)},
+				{Key: "solverIters", Val: float64(res.SolverIterations)},
+				{Key: "warmStarts", Val: float64(res.WarmStarts)},
+			}
 		})
-	}
+	}()
 	bld := newBuilder(nl, &opt)
 	// The solve counters live on the builder; copy them onto every returned
 	// result. Registered after the trace defer, so it runs first (LIFO) and
@@ -222,25 +218,22 @@ func Solve(nl *netlist.Netlist, opt Options) (res *Result, err error) {
 				Alpha: alpha, Iter: t, Objective: obj, WZ: wz,
 				SolveTime: elapsed, NumCons: len(pairs), SolverIters: solverIters,
 			})
-			if traceOn(opt.Trace) {
-				// SolveTime deliberately stays out of the fields: event
-				// content must be deterministic; wall time lives in the
-				// recorder-stamped TS and in IterRecord.
-				opt.Trace.Record(trace.Event{
-					Solver: "core", Kind: "iter", Iter: res.Iterations,
-					Fields: []trace.Field{
-						{Key: "alpha", Val: alpha},
-						{Key: "alphaIter", Val: float64(t)},
-						{Key: "obj", Val: obj},
-						{Key: "wz", Val: wz},
-						{Key: "trZ", Val: z.Trace()},
-						{Key: "cons", Val: float64(len(pairs))},
-						{Key: "sides", Val: float64(countSides(pairs))},
-						{Key: "solverIters", Val: float64(solverIters)},
-						{Key: "warm", Val: boolField(sol.Warm)},
-					},
-				})
-			}
+			// SolveTime deliberately stays out of the fields: event
+			// content must be deterministic; wall time lives in the
+			// recorder-stamped TS and in IterRecord.
+			tr.Iter(res.Iterations, func() []trace.Field {
+				return []trace.Field{
+					{Key: "alpha", Val: alpha},
+					{Key: "alphaIter", Val: float64(t)},
+					{Key: "obj", Val: obj},
+					{Key: "wz", Val: wz},
+					{Key: "trZ", Val: z.Trace()},
+					{Key: "cons", Val: float64(len(pairs))},
+					{Key: "sides", Val: float64(countSides(pairs))},
+					{Key: "solverIters", Val: float64(solverIters)},
+					{Key: "warm", Val: trace.Bool(sol.Warm)},
+				}
+			})
 			if opt.Logf != nil {
 				opt.Logf("core: alpha=%g iter=%d obj=%.6g <W,Z>=%.3g cons=%d time=%s",
 					alpha, t, obj, wz, len(pairs), elapsed.Round(time.Millisecond))
@@ -562,14 +555,6 @@ func meanDiagonal(m *linalg.Dense) float64 {
 		return 0
 	}
 	return m.Trace() / float64(m.Rows)
-}
-
-// boolField encodes a bool as a trace field value (1 or 0).
-func boolField(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func maxf(a, b float64) float64 {

@@ -84,36 +84,31 @@ func Minimize(f Objective, x0 []float64, opt Options) Result {
 
 	d := make([]float64, n)
 	res := Result{}
-	tracing := opt.Trace != nil && opt.Trace.Enabled()
-	if tracing {
-		// Deferred so convergence, cancellation, line-search failure, and
-		// the iteration/eval caps all close the trace with one "final".
-		defer func() {
-			st := "stopped"
-			switch {
-			case res.Err != nil:
-				st = "cancelled"
-			case res.Converged:
-				st = "converged"
+	tr := trace.Start(opt.Trace, "lbfgs", func() []trace.Field {
+		return []trace.Field{
+			{Key: "n", Val: float64(n)},
+			{Key: "gradTol", Val: opt.GradTol},
+			{Key: "maxIter", Val: float64(opt.MaxIter)},
+		}
+	})
+	// Deferred so convergence, cancellation, line-search failure, and the
+	// iteration/eval caps all close the trace with one "final".
+	defer func() {
+		st := "stopped"
+		switch {
+		case res.Err != nil:
+			st = "cancelled"
+		case res.Converged:
+			st = "converged"
+		}
+		tr.End(res.Iterations, st, func() []trace.Field {
+			return []trace.Field{
+				{Key: "f", Val: res.F},
+				{Key: "gnorm", Val: res.GradNorm},
+				{Key: "evals", Val: float64(res.Evals)},
 			}
-			opt.Trace.Record(trace.Event{
-				Solver: "lbfgs", Kind: "final", Iter: res.Iterations, Status: st,
-				Fields: []trace.Field{
-					{Key: "f", Val: res.F},
-					{Key: "gnorm", Val: res.GradNorm},
-					{Key: "evals", Val: float64(res.Evals)},
-				},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "lbfgs", Kind: "start",
-			Fields: []trace.Field{
-				{Key: "n", Val: float64(n)},
-				{Key: "gradTol", Val: opt.GradTol},
-				{Key: "maxIter", Val: float64(opt.MaxIter)},
-			},
 		})
-	}
+	}()
 	for iter := 0; iter < opt.MaxIter && evals < opt.MaxEvals; iter++ {
 		if opt.Context != nil {
 			if err := opt.Context.Err(); err != nil {
@@ -182,17 +177,14 @@ func Minimize(f Objective, x0 []float64, opt Options) Result {
 		axpy(step, d, x)
 		copy(g, gNew)
 		fx = fNew
-		if tracing {
-			opt.Trace.Record(trace.Event{
-				Solver: "lbfgs", Kind: "iter", Iter: iter,
-				Fields: []trace.Field{
-					{Key: "f", Val: fx},
-					{Key: "gnorm", Val: normInf(g)},
-					{Key: "step", Val: step},
-					{Key: "evals", Val: float64(evals)},
-				},
-			})
-		}
+		tr.Iter(iter, func() []trace.Field {
+			return []trace.Field{
+				{Key: "f", Val: fx},
+				{Key: "gnorm", Val: normInf(g)},
+				{Key: "step", Val: step},
+				{Key: "evals", Val: float64(evals)},
+			}
+		})
 	}
 	res.X = x
 	res.F = fx

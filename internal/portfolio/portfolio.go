@@ -154,48 +154,56 @@ func Race(ctx context.Context, contenders []Contender, opt Options) (*Result, er
 	}
 	got, winner, deadline := 0, -1, false
 	var res *Result
-	tracing := opt.Trace != nil && opt.Trace.Enabled()
-	if tracing {
-		// Deferred — and registered before any start — so every exit,
-		// panics included, closes the race streams: per-contender finals
-		// in priority order, then the race final. A deterministic closing
-		// sequence for a scripted arrival order.
-		defer func() {
+	// One run-scoped contender run per contender inside the race run.
+	var runs []*trace.Run
+	race := trace.Start(opt.Trace, "portfolio", func() []trace.Field {
+		return []trace.Field{
+			{Key: "contenders", Val: float64(n)},
+			{Key: "workers", Val: float64(sum(budgets))},
+		}
+	})
+	// Deferred — and registered before any contender run starts — so
+	// every exit, panics included, closes the race streams: contender
+	// finals in priority order, then the race final. A deterministic
+	// closing sequence for a scripted arrival order.
+	defer func() {
+		for i := range runs {
+			r := Report{Status: StatusFailed}
 			if res != nil {
-				for i := range res.Reports {
-					r := &res.Reports[i]
-					opt.Trace.Record(trace.Event{Solver: "portfolio", Run: r.Name, Kind: trace.KindFinal,
-						Status: r.Status, Iter: maxInt(seq[i], 0), Fields: []trace.Field{
-							{Key: "contender", Val: float64(i)},
-							{Key: "feasible", Val: boolField(r.Feasible)},
-							{Key: "hpwl", Val: r.HPWL},
-						}})
+				r = res.Reports[i]
+			}
+			runs[i].End(maxInt(seq[i], 0), r.Status, func() []trace.Field {
+				return []trace.Field{
+					{Key: "contender", Val: float64(i)},
+					{Key: "feasible", Val: trace.Bool(r.Feasible)},
+					{Key: "hpwl", Val: r.HPWL},
 				}
-			}
-			fin := trace.Event{Solver: "portfolio", Kind: trace.KindFinal, Iter: got,
-				Fields: []trace.Field{{Key: "winner", Val: float64(winner)}}}
-			switch {
-			case res == nil || winner < 0:
-				fin.Status = StatusFailed
-			default:
-				fin.Status = res.Reports[winner].Status
-				fin.Fields = append(fin.Fields,
+			})
+		}
+		won := res != nil && winner >= 0
+		status := StatusFailed
+		if won {
+			status = res.Reports[winner].Status
+		}
+		race.End(got, status, func() []trace.Field {
+			fs := []trace.Field{{Key: "winner", Val: float64(winner)}}
+			if won {
+				fs = append(fs,
 					trace.Field{Key: "hpwl", Val: res.Outcome.HPWL},
-					trace.Field{Key: "feasible", Val: boolField(res.Outcome.Feasible)})
+					trace.Field{Key: "feasible", Val: trace.Bool(res.Outcome.Feasible)})
 			}
-			opt.Trace.Record(fin)
-		}()
-		opt.Trace.Record(trace.Event{Solver: "portfolio", Kind: trace.KindStart,
-			Fields: []trace.Field{
-				{Key: "contenders", Val: float64(n)},
-				{Key: "workers", Val: float64(sum(budgets))},
-			}})
+			return fs
+		})
+	}()
+	if race != nil {
+		runs = make([]*trace.Run, n)
 		for i := range contenders {
-			opt.Trace.Record(trace.Event{Solver: "portfolio", Run: contenders[i].Name, Kind: trace.KindStart,
-				Fields: []trace.Field{
+			runs[i] = trace.Start(trace.WithRun(opt.Trace, contenders[i].Name), "portfolio", func() []trace.Field {
+				return []trace.Field{
 					{Key: "contender", Val: float64(i)},
 					{Key: "workers", Val: float64(budgets[i])},
-				}})
+				}
+			})
 		}
 	}
 
@@ -227,9 +235,8 @@ func Race(ctx context.Context, contenders []Contender, opt Options) (*Result, er
 		arrived[a.idx] = &a
 		seq[a.idx] = got
 		got++
-		if tracing {
-			opt.Trace.Record(trace.Event{Solver: "portfolio", Run: contenders[a.idx].Name,
-				Kind: trace.KindIter, Iter: seq[a.idx], Fields: arrivalFields(&a)})
+		if race != nil {
+			runs[a.idx].Iter(seq[a.idx], func() []trace.Field { return arrivalFields(&a) })
 		}
 		if winner < 0 && !deadline && a.err == nil && a.out != nil && a.out.Feasible {
 			winner = a.idx
@@ -398,12 +405,12 @@ func SplitWorkers(total, n int) []int {
 func arrivalFields(a *arrival) []trace.Field {
 	fs := []trace.Field{
 		{Key: "contender", Val: float64(a.idx)},
-		{Key: "complete", Val: boolField(a.err == nil)},
+		{Key: "complete", Val: trace.Bool(a.err == nil)},
 	}
 	if a.out != nil {
 		fs = append(fs,
-			trace.Field{Key: "feasible", Val: boolField(a.out.Feasible)},
-			trace.Field{Key: "partial", Val: boolField(a.out.Partial)},
+			trace.Field{Key: "feasible", Val: trace.Bool(a.out.Feasible)},
+			trace.Field{Key: "partial", Val: trace.Bool(a.out.Partial)},
 			trace.Field{Key: "hpwl", Val: a.out.HPWL})
 	}
 	return fs

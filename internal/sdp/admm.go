@@ -207,7 +207,7 @@ func (st *admmState) release() {
 // fields as the original inline loop did.
 //
 //sdpvet:hotpath
-func (st *admmState) iterate(sol *Solution, iter int, tracing bool) bool {
+func (st *admmState) iterate(sol *Solution, iter int, tr *trace.Run) bool {
 	p, opt := st.p, st.opt
 	mu := st.mu
 
@@ -241,7 +241,7 @@ func (st *admmState) iterate(sol *Solution, iter int, tracing bool) bool {
 			sol.Status = StatusNumericalFailure
 			return true
 		}
-		if tracing {
+		if tr != nil {
 			// Eigencount of the PSD projection: how many eigenpairs
 			// the S-update keeps. Counted only when tracing — the
 			// projection itself does not need it.
@@ -298,21 +298,18 @@ func (st *admmState) iterate(sol *Solution, iter int, tracing bool) bool {
 		opt.Logf("admm iter %4d: pobj=%.6e dobj=%.6e pres=%.2e dres=%.2e mu=%.2e",
 			iter, pobj, dobj, pres, dres, mu)
 	}
-	if tracing {
-		opt.Trace.Record(trace.Event{
-			Solver: "admm", Kind: "iter", Iter: iter,
-			//sdpvet:ignore hotalloc tracing-only: guarded by Enabled(), disabled in the alloc-gated benchmarks
-			Fields: []trace.Field{
-				{Key: "pobj", Val: pobj},
-				{Key: "dobj", Val: dobj},
-				{Key: "pres", Val: pres},
-				{Key: "dres", Val: dres},
-				{Key: "relG", Val: relG},
-				{Key: "mu", Val: mu},
-				{Key: "posEig", Val: float64(posEig)},
-			},
-		})
-	}
+	//sdpvet:ignore hotalloc tracing-only: the closure does not escape and runs only when tr is open
+	tr.Iter(iter, func() []trace.Field {
+		return []trace.Field{
+			{Key: "pobj", Val: pobj},
+			{Key: "dobj", Val: dobj},
+			{Key: "pres", Val: pres},
+			{Key: "dres", Val: dres},
+			{Key: "relG", Val: relG},
+			{Key: "mu", Val: mu},
+			{Key: "posEig", Val: float64(posEig)},
+		}
+	})
 	sol.PrimalObj, sol.DualObj = pobj, dobj
 	sol.PrimalInfeas, sol.DualInfeas, sol.Gap = pres, dres, relG
 	if pres < opt.Tol && dres < opt.Tol && relG < 10*opt.Tol {
@@ -347,42 +344,36 @@ func SolveADMM(p *Problem, opt ADMMOptions) (*Solution, error) {
 	defer st.release()
 
 	sol := &Solution{Status: StatusIterationLimit}
-	tracing := traceOn(opt.Trace)
-	if tracing {
-		// Deferred so that every exit — convergence, numerical failure,
-		// the iteration limit, and the cancellation break — closes the
-		// trace with exactly one "final" record.
-		defer func() {
-			opt.Trace.Record(trace.Event{
-				Solver: "admm", Kind: "final", Iter: sol.Iterations,
-				Status: sol.Status.String(),
-				Fields: []trace.Field{
-					{Key: "pobj", Val: sol.PrimalObj},
-					{Key: "dobj", Val: sol.DualObj},
-					{Key: "pres", Val: sol.PrimalInfeas},
-					{Key: "dres", Val: sol.DualInfeas},
-					{Key: "relG", Val: sol.Gap},
-					{Key: "warm", Val: boolVal(st.warm)},
-				},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "admm", Kind: "start",
-			Fields: []trace.Field{
-				{Key: "m", Val: float64(st.m)},
-				{Key: "tol", Val: opt.Tol},
-				{Key: "maxIter", Val: float64(opt.MaxIter)},
-				{Key: "warm", Val: boolVal(st.warm)},
-			},
+	tr := trace.Start(opt.Trace, "admm", func() []trace.Field {
+		return []trace.Field{
+			{Key: "m", Val: float64(st.m)},
+			{Key: "tol", Val: opt.Tol},
+			{Key: "maxIter", Val: float64(opt.MaxIter)},
+			{Key: "warm", Val: trace.Bool(st.warm)},
+		}
+	})
+	// Deferred so that every exit — convergence, numerical failure, the
+	// iteration limit, and the cancellation break — closes the trace with
+	// exactly one "final" record.
+	defer func() {
+		tr.End(sol.Iterations, sol.Status.String(), func() []trace.Field {
+			return []trace.Field{
+				{Key: "pobj", Val: sol.PrimalObj},
+				{Key: "dobj", Val: sol.DualObj},
+				{Key: "pres", Val: sol.PrimalInfeas},
+				{Key: "dres", Val: sol.DualInfeas},
+				{Key: "relG", Val: sol.Gap},
+				{Key: "warm", Val: trace.Bool(st.warm)},
+			}
 		})
-	}
+	}()
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if opt.Context != nil && opt.Context.Err() != nil {
 			sol.Status = StatusCancelled
 			break
 		}
 		sol.Iterations = iter
-		if st.iterate(sol, iter, tracing) {
+		if st.iterate(sol, iter, tr) {
 			break
 		}
 	}

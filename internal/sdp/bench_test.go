@@ -128,11 +128,11 @@ func BenchmarkADMMProjection(b *testing.B) {
 				opt.setDefaults()
 				st := newADMMState(p, opt)
 				sol := &Solution{}
-				st.iterate(sol, 0, false) // warm up the arena and CG state
+				st.iterate(sol, 0, nil) // warm up the arena and CG state
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st.iterate(sol, i+1, false)
+					st.iterate(sol, i+1, nil)
 					benchSinkF = sol.PrimalInfeas
 				}
 			})

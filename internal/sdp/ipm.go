@@ -400,36 +400,30 @@ func (st *ipmState) run() *Solution {
 	defer st.release()
 	p, opt := st.p, st.opt
 	sol := &Solution{Status: StatusIterationLimit}
-	tracing := traceOn(opt.Trace)
-	if tracing {
-		// The deferred record covers every exit path — convergence, the
-		// three numerical-failure returns, the iteration limit, and the
-		// cancellation break — so a trace always closes with one "final".
-		defer func() {
-			opt.Trace.Record(trace.Event{
-				Solver: "ipm", Kind: "final", Iter: sol.Iterations,
-				Status: sol.Status.String(),
-				Fields: []trace.Field{
-					{Key: "pobj", Val: sol.PrimalObj},
-					{Key: "dobj", Val: sol.DualObj},
-					{Key: "relP", Val: sol.PrimalInfeas},
-					{Key: "relD", Val: sol.DualInfeas},
-					{Key: "relG", Val: sol.Gap},
-					{Key: "warm", Val: boolVal(st.warm)},
-				},
-			})
-		}()
-		opt.Trace.Record(trace.Event{
-			Solver: "ipm", Kind: "start",
-			Fields: []trace.Field{
-				{Key: "m", Val: float64(st.m)},
-				{Key: "nu", Val: st.nu},
-				{Key: "tol", Val: opt.Tol},
-				{Key: "maxIter", Val: float64(opt.MaxIter)},
-				{Key: "warm", Val: boolVal(st.warm)},
-			},
+	tr := trace.Start(opt.Trace, "ipm", func() []trace.Field {
+		return []trace.Field{
+			{Key: "m", Val: float64(st.m)},
+			{Key: "nu", Val: st.nu},
+			{Key: "tol", Val: opt.Tol},
+			{Key: "maxIter", Val: float64(opt.MaxIter)},
+			{Key: "warm", Val: trace.Bool(st.warm)},
+		}
+	})
+	// The deferred End covers every exit path — convergence, the three
+	// numerical-failure returns, the iteration limit, and the
+	// cancellation break — so a trace always closes with one "final".
+	defer func() {
+		tr.End(sol.Iterations, sol.Status.String(), func() []trace.Field {
+			return []trace.Field{
+				{Key: "pobj", Val: sol.PrimalObj},
+				{Key: "dobj", Val: sol.DualObj},
+				{Key: "relP", Val: sol.PrimalInfeas},
+				{Key: "relD", Val: sol.DualInfeas},
+				{Key: "relG", Val: sol.Gap},
+				{Key: "warm", Val: trace.Bool(st.warm)},
+			}
 		})
-	}
+	}()
 
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if opt.Context != nil && opt.Context.Err() != nil {
@@ -528,23 +522,20 @@ func (st *ipmState) run() *Solution {
 		}
 		linalg.Axpy(ad, dir.dy, st.y)
 
-		if tracing {
-			opt.Trace.Record(trace.Event{
-				Solver: "ipm", Kind: "iter", Iter: iter,
-				Fields: []trace.Field{
-					{Key: "mu", Val: mu},
-					{Key: "pobj", Val: pobj},
-					{Key: "dobj", Val: dobj},
-					{Key: "relP", Val: relP},
-					{Key: "relD", Val: relD},
-					{Key: "relG", Val: relG},
-					{Key: "sigma", Val: sigma},
-					{Key: "alphaP", Val: ap},
-					{Key: "alphaD", Val: ad},
-					{Key: "cholRetries", Val: float64(retries)},
-				},
-			})
-		}
+		tr.Iter(iter, func() []trace.Field {
+			return []trace.Field{
+				{Key: "mu", Val: mu},
+				{Key: "pobj", Val: pobj},
+				{Key: "dobj", Val: dobj},
+				{Key: "relP", Val: relP},
+				{Key: "relD", Val: relD},
+				{Key: "relG", Val: relG},
+				{Key: "sigma", Val: sigma},
+				{Key: "alphaP", Val: ap},
+				{Key: "alphaD", Val: ad},
+				{Key: "cholRetries", Val: float64(retries)},
+			}
+		})
 	}
 
 	// Iteration limit: report final residuals.

@@ -54,10 +54,10 @@ func TestADMMIterateZeroAlloc(t *testing.T) {
 			sol := &Solution{}
 			iter := 0
 			for ; iter < 2; iter++ {
-				st.iterate(sol, iter, false)
+				st.iterate(sol, iter, nil)
 			}
 			allocs := testing.AllocsPerRun(5, func() {
-				st.iterate(sol, iter, false)
+				st.iterate(sol, iter, nil)
 				iter++
 			})
 			if allocs != 0 {

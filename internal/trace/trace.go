@@ -1,8 +1,10 @@
 // Package trace is the solver telemetry layer: a zero-dependency,
 // allocation-conscious event sink threaded through every iterative solver
 // (sdp.SolveIPM, sdp.SolveADMM, the core convex iteration, optimize
-// L-BFGS). Solvers emit one structured Event per iteration plus a "start"
-// and a "final" record per run; recorders decide what to do with them —
+// L-BFGS, the baseline engines, the portfolio racer). Each solver loop
+// opens one Run per invocation (Start), records one structured Event per
+// iteration (Run.Iter) and closes the run with exactly one "final"
+// (Run.End, deferred); recorders decide what to do with the events —
 // discard (Nop), keep a bounded window (Ring), or stream JSONL (JSONL).
 //
 // Two contracts make traces useful for regression testing:
@@ -20,8 +22,8 @@
 // summarizer.
 package trace
 
-// Kind values of an Event. Solvers emit the literals directly; the
-// constants are for consumers filtering a trace.
+// Kind values of an Event. Run records them (Start, Iter, End); consumers
+// filter a trace on them.
 const (
 	KindStart = "start" // one per run, emitted before the first iteration
 	KindIter  = "iter"  // one per completed iteration
@@ -70,9 +72,9 @@ type Event struct {
 // the solver for long or panic — a Recorder failure must not take down a
 // solve (JSONL latches write errors instead of propagating them).
 type Recorder interface {
-	// Enabled reports whether Record does anything. Solvers use it to skip
-	// building events entirely, so a disabled recorder has zero cost in the
-	// iteration loop.
+	// Enabled reports whether Record does anything. Start checks it once
+	// per run and returns a nil Run when it is false, so a disabled
+	// recorder has zero cost in the iteration loop.
 	Enabled() bool
 	// Record accepts one event. The recorder stamps ev.TS itself; callers
 	// leave it zero.
@@ -80,9 +82,9 @@ type Recorder interface {
 }
 
 // Nop is the disabled recorder: Enabled is false and Record discards.
-// Solvers guard event construction on Enabled, so Nop (like a nil
-// Recorder) adds no per-iteration work — benchmarked in this package and
-// gated by benchdiff on the solver side.
+// Start returns a nil Run for it, so Nop (like a nil Recorder) adds no
+// per-iteration work — benchmarked in this package and gated by benchdiff
+// on the solver side.
 type Nop struct{}
 
 // Enabled reports false: events are neither built nor stored.

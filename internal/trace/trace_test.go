@@ -231,7 +231,8 @@ func TestJSONLLatchesWriteError(t *testing.T) {
 
 // BenchmarkDisabledGuard measures the solver-side cost of tracing when it
 // is off: the nil/Enabled guard must keep event construction out of the
-// loop entirely.
+// loop entirely, and a whole Start/deferred-End bracket (the "bracket"
+// rows) must cost no allocation.
 func BenchmarkDisabledGuard(b *testing.B) {
 	run := func(b *testing.B, rec Recorder) {
 		acc := 0.0
@@ -244,8 +245,16 @@ func BenchmarkDisabledGuard(b *testing.B) {
 		}
 		_ = acc
 	}
+	runBracket := func(b *testing.B, rec Recorder) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bracket(rec, 4)
+		}
+	}
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
 	b.Run("nop", func(b *testing.B) { run(b, Nop{}) })
+	b.Run("bracket-nil", func(b *testing.B) { runBracket(b, nil) })
+	b.Run("bracket-nop", func(b *testing.B) { runBracket(b, Nop{}) })
 }
 
 func BenchmarkRingRecord(b *testing.B) {

@@ -1,8 +1,7 @@
 package vetkit
 
 // Intraprocedural control-flow graphs over go/ast function bodies: the
-// substrate for the path-sensitive analyzers (arenalease, tracefinal,
-// journalerr). The graph is deliberately simple — basic blocks of
+// substrate for the path-sensitive analyzers (arenalease, journalerr). The graph is deliberately simple — basic blocks of
 // statements and control expressions with successor edges — but models
 // the control constructs that matter for "on every exit path" reasoning:
 // branches, loops (with break/continue, labeled or not), switches with
@@ -21,7 +20,7 @@ package vetkit
 //     it must be established by a defer.
 //
 // Defer statements get no control edge: they execute at Exit, whenever
-// that is reached. Analyses that care (arenalease, tracefinal) treat a
+// that is reached. Analyses that care (arenalease) treat a
 // DeferStmt as establishing its effect at the registration point, which
 // is exactly the defer contract: once registered, the deferred call runs
 // on every exit path, panicking or not.

@@ -177,30 +177,6 @@ func f(n int) {
 	}
 }
 
-func TestPathToOrdering(t *testing.T) {
-	// Target before the satisfier in the same block: reachable.
-	cfg := buildFunc(t, declsHeader+`
-func f() {
-	use()
-	defer release()
-}`, "f")
-	target := findStmt(t, cfg, func(n ast.Node) bool { return callNamed(n, "use") })
-	if !cfg.PathTo(target, satisfyOn("release")) {
-		t.Error("use precedes the defer, want PathTo=true")
-	}
-
-	// Satisfier registered first: the target is shielded.
-	cfg = buildFunc(t, declsHeader+`
-func g() {
-	defer release()
-	use()
-}`, "g")
-	target = findStmt(t, cfg, func(n ast.Node) bool { return callNamed(n, "use") })
-	if cfg.PathTo(target, satisfyOn("release")) {
-		t.Error("defer precedes use, want PathTo=false")
-	}
-}
-
 func TestMustReachAll(t *testing.T) {
 	// Both branches generate: the join must-reaches.
 	cfg := buildFunc(t, declsHeader+`

@@ -2,27 +2,30 @@ package vetkit
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
 
-// TraceFinal enforces the deferred-final telemetry contract: a function
-// that emits a trace "start" event must emit exactly one "final" on every
-// exit path, including panics and cancellation. Intraprocedurally that
-// means the final must come from a defer — a directly emitted final is
-// skipped by any panic or early return after the start — and the defer
-// must be registered before any path can reach the start, or a panic in
-// between strands the run without its terminal record.
+// TraceFinal enforces the telemetry run contract: every trace run closes
+// with exactly one "final" on every exit path, panics and cancellation
+// included. trace.Run makes the contract structural — Start opens a run
+// and End records its final at most once — so the analyzer checks only
+// the shape of the code, not its paths:
 //
-// The analyzer works per function scope: a function declaration and each
-// non-deferred function literal are separate scopes (a goroutine body
-// emits its own start/final pair); a deferred literal belongs to the
-// scope that registers it, which is exactly what makes its final cover
-// that scope's exits.
+//  1. Non-test code outside internal/trace builds no trace.Event literal,
+//     so every event goes through trace.Start and Run.Iter/End.
+//  2. Every trace.Start result is bound to a variable and closed by
+//     Run.End in a defer of the same function.
+//  3. That defer is the statement right after the Start, or precedes the
+//     Start in the same or an enclosing block; otherwise a panic between
+//     the two leaves the run without its final.
+//
+// A function literal is a function of its own: a goroutine body that
+// starts a run defers its End itself. A deferred literal's End counts for
+// the function registering the defer, whose exits it covers.
 var TraceFinal = &Analyzer{
 	Name: "tracefinal",
-	Doc:  "a trace start must be paired with exactly one deferred final covering every exit path",
+	Doc:  "trace runs open with trace.Start and close with a deferred Run.End registered at once; no trace.Event literals outside internal/trace",
 	Run:  runTraceFinal,
 }
 
@@ -30,201 +33,155 @@ var TraceFinal = &Analyzer{
 // analyzer fires for the real module and for test corpora alike.
 const tracePkgSuffix = "internal/trace"
 
-// traceEventKind returns the constant Kind ("start", "iter", "final") of
-// a trace.Event composite literal, or "" when n is not one or its Kind is
-// not statically known.
-func traceEventKind(info *types.Info, n ast.Node) string {
-	lit, ok := n.(*ast.CompositeLit)
-	if !ok {
-		return ""
-	}
-	t := info.TypeOf(lit)
-	if t == nil {
-		return ""
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Name() != "Event" || obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), tracePkgSuffix) {
-		return ""
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i, elt := range lit.Elts {
-		var val ast.Expr
-		if kv, ok := elt.(*ast.KeyValueExpr); ok {
-			id, ok := kv.Key.(*ast.Ident)
-			if !ok || id.Name != "Kind" {
-				continue
-			}
-			val = kv.Value
-		} else {
-			// Positional literal: match the field index.
-			if i >= st.NumFields() || st.Field(i).Name() != "Kind" {
-				continue
-			}
-			val = elt
-		}
-		tv, ok := info.Types[val]
-		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			return ""
-		}
-		return constant.StringVal(tv.Value)
-	}
-	return ""
+func isTracePkg(p *types.Package) bool {
+	return p != nil && strings.HasSuffix(p.Path(), tracePkgSuffix)
 }
 
 func runTraceFinal(cfg *Config, pkg *Package) []Diagnostic {
+	if strings.HasSuffix(pkg.Path, tracePkgSuffix) {
+		return nil
+	}
 	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	inspect(pkg, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if named, ok := pkg.Info.TypeOf(n).(*types.Named); ok &&
+				named.Obj().Name() == "Event" && isTracePkg(named.Obj().Pkg()) {
+				diags = append(diags, pkg.diag(n.Pos(), "tracefinal",
+					"trace.Event literal outside internal/trace",
+					"open the run with trace.Start and record through Run.Iter and a deferred Run.End"))
 			}
-			diags = append(diags, traceScopes(pkg, fd.Body)...)
-		}
-	}
-	return diags
-}
-
-// traceScopes analyzes body as one scope, then recurses into every
-// non-deferred function literal. Deferred literals are analyzed as part
-// of this scope (their finals cover this scope's exits).
-func traceScopes(pkg *Package, body *ast.BlockStmt) []Diagnostic {
-	diags := traceScope(pkg, body)
-	parents := buildParents(body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		if !isDeferredLit(parents, lit) {
-			diags = append(diags, traceScopes(pkg, lit.Body)...)
-		}
-		return false
-	})
-	return diags
-}
-
-// isDeferredLit reports whether lit is the immediate callee of a defer
-// statement (`defer func() { ... }()`).
-func isDeferredLit(parents map[ast.Node]ast.Node, lit *ast.FuncLit) bool {
-	call, ok := parents[lit].(*ast.CallExpr)
-	if !ok || ast.Unparen(call.Fun) != ast.Expr(lit) {
-		return false
-	}
-	d, ok := parents[call].(*ast.DeferStmt)
-	return ok && d.Call == call
-}
-
-func traceScope(pkg *Package, body *ast.BlockStmt) []Diagnostic {
-	info := pkg.Info
-	parents := buildParents(body)
-
-	// Collect the scope's own event literals: everything outside nested
-	// function literals, except that deferred literals of THIS scope count
-	// as own (that is where the deferred final lives).
-	var starts []*ast.CompositeLit
-	var directFinals []*ast.CompositeLit
-	var deferredFinals []*ast.DeferStmt
-	seenDefer := map[*ast.DeferStmt]bool{}
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && !isDeferredLit(parents, lit) {
-			// Non-deferred literal: a separate scope, analyzed by
-			// traceScopes. Deferred literals are descended into — their
-			// finals are this scope's deferred finals.
-			return false
-		}
-		switch traceEventKind(info, n) {
-		case "start":
-			starts = append(starts, n.(*ast.CompositeLit))
-			return false
-		case "final":
-			// `defer rec.Record(Event{final})` and finals inside deferred
-			// closures both resolve to their DeferStmt; anything else is a
-			// direct emission.
-			if d := deferOf(parents, n, body); d != nil {
-				if !seenDefer[d] {
-					seenDefer[d] = true
-					deferredFinals = append(deferredFinals, d)
-				}
-			} else {
-				directFinals = append(directFinals, n.(*ast.CompositeLit))
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				diags = append(diags, checkRuns(pkg, n.Body)...)
 			}
-			return false
+		case *ast.FuncLit:
+			diags = append(diags, checkRuns(pkg, n.Body)...)
 		}
 		return true
 	})
+	return diags
+}
 
+// checkRuns checks the trace.Start calls of one function body; nested
+// function literals are checked on their own.
+func checkRuns(pkg *Package, body *ast.BlockStmt) []Diagnostic {
+	info := pkg.Info
+	var starts []*ast.CallExpr
+	inspectOwn(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if fn := pkgFuncObj(info, call); fn != nil && fn.Name() == "Start" && isTracePkg(fn.Pkg()) {
+				starts = append(starts, call)
+			}
+		}
+		return true
+	})
 	if len(starts) == 0 {
 		return nil
 	}
-
+	parents := buildParents(body)
 	var diags []Diagnostic
-	switch {
-	case len(deferredFinals) == 0 && len(directFinals) == 0:
-		diags = append(diags, pkg.diag(starts[0].Pos(), "tracefinal",
-			"trace start is emitted but no final is emitted on any exit path",
-			"register `defer ...Record(trace.Event{Kind: \"final\", ...})` before the start"))
-	case len(deferredFinals) == 0:
-		diags = append(diags, pkg.diag(directFinals[0].Pos(), "tracefinal",
-			"trace final is not deferred: panic and early-return paths exit without it",
-			"move the final into a defer registered before the start"))
-	default:
-		for _, d := range deferredFinals[1:] {
-			diags = append(diags, pkg.diag(d.Pos(), "tracefinal",
-				"second deferred trace final: exits would emit more than one final",
-				"a run must emit exactly one final"))
+	for _, call := range starts {
+		obj, stmt := startBinding(info, parents, call)
+		var closers []*ast.DeferStmt
+		if obj != nil {
+			inspectOwn(body, func(n ast.Node) bool {
+				if d, ok := n.(*ast.DeferStmt); ok && endsRun(info, d.Call, obj) {
+					closers = append(closers, d)
+				}
+				return true
+			})
 		}
-		for _, f := range directFinals {
-			diags = append(diags, pkg.diag(f.Pos(), "tracefinal",
-				"direct trace final alongside a deferred one: this exit emits two finals",
-				"let the deferred final cover every exit"))
+		if len(closers) == 0 {
+			diags = append(diags, pkg.diag(call.Pos(), "tracefinal",
+				"trace.Start result is not closed by a deferred Run.End in this function",
+				"bind it (tr := trace.Start(...)) and defer tr.End on the next statement"))
+			continue
 		}
-		cfg := BuildCFG(body, info)
-		deferNodes := map[ast.Node]bool{}
-		for _, d := range deferredFinals {
-			deferNodes[d] = true
-			if insideLoop(parents, d, body) {
-				diags = append(diags, pkg.diag(d.Pos(), "tracefinal",
-					"deferred trace final inside a loop: each iteration registers another final",
-					"register the deferred final once, outside the loop"))
-			}
+		covered := false
+		for _, d := range closers {
+			covered = covered || deferCovers(parents, d, stmt)
 		}
-		isDeferNode := func(n ast.Node) NodeClass {
-			if deferNodes[n] {
-				return ClassSatisfy
-			}
-			return ClassNone
-		}
-		for _, s := range starts {
-			stmt := cfgNodeFor(cfg, parents, s)
-			if stmt == nil {
-				continue
-			}
-			if cfg.PathTo(stmt, isDeferNode) {
-				diags = append(diags, pkg.diag(s.Pos(), "tracefinal",
-					"trace start can be reached before the deferred final is registered",
-					"register the defer first: a panic after the start would exit without a final"))
-			}
+		if !covered {
+			diags = append(diags, pkg.diag(call.Pos(), "tracefinal",
+				"the deferred Run.End is registered after statements that follow trace.Start",
+				"defer End on the statement right after Start, or before it: a panic in between exits without a final"))
 		}
 	}
 	return diags
 }
 
-// deferOf returns the DeferStmt enclosing n within body (via the defer's
-// call arguments or its immediate closure), or nil.
-func deferOf(parents map[ast.Node]ast.Node, n ast.Node, body *ast.BlockStmt) *ast.DeferStmt {
-	for p := parents[n]; p != nil && p != ast.Node(body); p = parents[p] {
-		if d, ok := p.(*ast.DeferStmt); ok {
-			return d
+// startBinding returns the variable an assignment stores a trace.Start
+// result in (the root of the assigned expression, so runs[i] =
+// trace.Start(...) binds runs) and the assignment, or nil when the result
+// is not assigned to a named variable.
+func startBinding(info *types.Info, parents map[ast.Node]ast.Node, call *ast.CallExpr) (types.Object, ast.Stmt) {
+	n := skipParens(parents, call)
+	as, ok := parents[n].(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != len(as.Rhs) {
+		return nil, nil
+	}
+	for i, rhs := range as.Rhs {
+		if rhs == n {
+			if id := rootIdent(as.Lhs[i]); id != nil {
+				return info.ObjectOf(id), as
+			}
 		}
 	}
-	return nil
+	return nil, nil
+}
+
+// endsRun reports whether the deferred call invokes Run.End on a run
+// rooted at obj, directly (defer tr.End(...)) or inside the deferred
+// function literal.
+func endsRun(info *types.Info, call *ast.CallExpr, obj types.Object) bool {
+	found := false
+	ast.Inspect(call, func(n ast.Node) bool {
+		if c, ok := n.(*ast.CallExpr); ok && !found {
+			if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "End" {
+				fn, ok := info.Uses[sel.Sel].(*types.Func)
+				id := rootIdent(sel.X)
+				found = ok && isTracePkg(fn.Pkg()) && id != nil && info.ObjectOf(id) == obj
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// deferCovers reports whether defer d is the statement right after stmt,
+// or comes before stmt in stmt's block or an enclosing one.
+func deferCovers(parents map[ast.Node]ast.Node, d *ast.DeferStmt, stmt ast.Stmt) bool {
+	if list, i := stmtIndex(parents, stmt); i >= 0 && i+1 < len(list) && list[i+1] == d {
+		return true
+	}
+	for n := ast.Node(stmt); n != nil; n = parents[n] {
+		list, i := stmtIndex(parents, n)
+		for j := 0; j < i; j++ {
+			if list[j] == d {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stmtIndex returns the statement list holding n and n's index in it, or
+// -1 when n's parent is not a block or case body.
+func stmtIndex(parents map[ast.Node]ast.Node, n ast.Node) ([]ast.Stmt, int) {
+	var list []ast.Stmt
+	switch p := parents[n].(type) {
+	case *ast.BlockStmt:
+		list = p.List
+	case *ast.CaseClause:
+		list = p.Body
+	case *ast.CommClause:
+		list = p.Body
+	}
+	for i, s := range list {
+		if s == n {
+			return list, i
+		}
+	}
+	return nil, -1
 }

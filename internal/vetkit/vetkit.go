@@ -13,17 +13,19 @@
 //     (parwrite).
 //   - Resource leases: every linalg.Arena checkout is released on every
 //     exit path and never escapes its lease (arenalease).
-//   - Telemetry pairing: a trace "start" is matched by exactly one
-//     deferred "final" covering panic and early-return exits (tracefinal).
+//   - Telemetry pairing: every trace.Start is closed by a Run.End deferred
+//     at once, so one "final" covers panic and early-return exits, and no
+//     code outside internal/trace builds events by hand (tracefinal).
 //   - Allocation-free hot paths: functions annotated //sdpvet:hotpath
 //     contain no allocating constructs (hotalloc).
 //   - Durability: journal/WAL write errors flow into a handler on every
 //     path (journalerr).
 //
-// The second generation of checks is path-sensitive: cfg.go builds an
-// intraprocedural control-flow graph from go/ast, and dataflow.go runs
-// must-reach and path-avoidance analyses over it. See docs/LINTING.md for
-// the "writing a dataflow analyzer" guide.
+// Two checks are path-sensitive (arenalease, journalerr): cfg.go builds
+// an intraprocedural control-flow graph from go/ast, and dataflow.go runs
+// path-avoidance searches over it. tracefinal needs no CFG: the trace.Run
+// helper makes its contract a syntactic rule. See docs/LINTING.md for the
+// "writing a dataflow analyzer" guide.
 //
 // The implementation deliberately uses only the standard library
 // (go/parser, go/ast, go/types, go/importer) — no x/tools — preserving

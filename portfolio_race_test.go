@@ -134,39 +134,78 @@ func TestCancellationHygieneAllMethods(t *testing.T) {
 				t.Fatalf("solve returned after %s, cancellation is not bounded", elapsed)
 			}
 
-			// Every stream must be a sequence of well-paired start…final
-			// spans — sub-solvers (ipm, lbfgs) legitimately run several
-			// sequential spans inside one engine run, but a cancelled span
-			// must still close with exactly one final, and nothing may
-			// emit a final outside a span.
-			open := map[string]bool{}
-			finals := map[string]int{}
-			for _, ev := range ring.Snapshot() {
-				key := ev.Solver + "\x00" + ev.Run
-				switch ev.Kind {
-				case trace.KindStart:
-					if open[key] {
-						t.Fatalf("stream %q: start while a span is already open", key)
-					}
-					open[key] = true
-				case trace.KindFinal:
-					if !open[key] {
-						t.Fatalf("stream %q: final without an open span", key)
-					}
-					open[key] = false
-					finals[key]++
-				}
-			}
-			for key, isOpen := range open {
-				if isOpen {
-					t.Fatalf("stream %q: span left open (start without final) after cancellation", key)
-				}
-			}
-			if n := finals[tc.solver+"\x00"]; n != 1 {
-				t.Fatalf("engine stream %q has %d final events, want exactly 1 (finals: %v)",
-					tc.solver, n, describeFinals(finals))
-			}
+			// A cancelled span must still close with exactly one final.
+			checkStreamPairing(t, ring.Snapshot(), tc.solver)
 		})
+	}
+}
+
+// TestTraceStreamsPairedAllMethods runs the pairing check of
+// TestCancellationHygieneAllMethods on one uncancelled Place per method.
+func TestTraceStreamsPairedAllMethods(t *testing.T) {
+	cases := []struct {
+		method Method
+		solver string
+	}{
+		{MethodSDP, "core"},
+		{MethodSDPHier, "hier"},
+		{MethodAR, "ar"},
+		{MethodPP, "pp"},
+		{MethodQP, "qp"},
+		{MethodSA, "sa"},
+		{MethodAnalytic, "analytic"},
+		{MethodPortfolio, "portfolio"},
+	}
+	nl, out := smallNL(t)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(string(tc.method), func(t *testing.T) {
+			ring := trace.NewRing(1 << 16)
+			if _, err := Place(nl, Config{Outline: out, Method: tc.method, Seed: 3, Trace: ring}); err != nil {
+				t.Fatal(err)
+			}
+			if ring.Dropped() != 0 {
+				t.Fatalf("ring dropped %d events; the pairing check needs the whole stream", ring.Dropped())
+			}
+			checkStreamPairing(t, ring.Snapshot(), tc.solver)
+		})
+	}
+}
+
+// checkStreamPairing checks that every stream (solver and run id) of evs
+// is a sequence of well-paired start…final spans and that the engine
+// stream has exactly one final. Sub-solvers (ipm, lbfgs) legitimately run
+// several sequential spans inside one engine run, but nothing may start
+// a span while one is open, emit a final outside a span, or leave a span
+// open.
+func checkStreamPairing(t *testing.T, evs []trace.Event, engine string) {
+	t.Helper()
+	open := map[string]bool{}
+	finals := map[string]int{}
+	for _, ev := range evs {
+		key := ev.Solver + "\x00" + ev.Run
+		switch ev.Kind {
+		case trace.KindStart:
+			if open[key] {
+				t.Fatalf("stream %q: start while a span is already open", key)
+			}
+			open[key] = true
+		case trace.KindFinal:
+			if !open[key] {
+				t.Fatalf("stream %q: final without an open span", key)
+			}
+			open[key] = false
+			finals[key]++
+		}
+	}
+	for key, isOpen := range open {
+		if isOpen {
+			t.Fatalf("stream %q: span left open (start without final)", key)
+		}
+	}
+	if n := finals[engine+"\x00"]; n != 1 {
+		t.Fatalf("engine stream %q has %d final events, want exactly 1 (finals: %v)",
+			engine, n, describeFinals(finals))
 	}
 }
 
