@@ -35,11 +35,11 @@ func CheckKKT(p *Problem, sol *Solution, tol float64) error {
 	}
 	var ew linalg.EigWork
 	for b, x := range sol.X {
-		eg, err := ew.Factor(x, 1)
+		lam, err := ew.Min(x, 1)
 		if err != nil {
 			return fmt.Errorf("eig of X[%d]: %v", b, err)
 		}
-		if lam := eg.MinEigenvalue(); lam < -tol {
+		if lam < -tol {
 			return fmt.Errorf("X[%d] not PSD: λmin = %g", b, lam)
 		}
 	}
@@ -64,11 +64,11 @@ func CheckKKT(p *Problem, sol *Solution, tol float64) error {
 		if f := r.FrobNorm(); f > tol*(1+cn) {
 			return fmt.Errorf("dual residual block %d: ‖C−Aᵀy−S‖ = %g > %g", b, f, tol*(1+cn))
 		}
-		eg, err := ew.Factor(sol.S[b], 1)
+		lam, err := ew.Min(sol.S[b], 1)
 		if err != nil {
 			return fmt.Errorf("eig of S[%d]: %v", b, err)
 		}
-		if lam := eg.MinEigenvalue(); lam < -tol {
+		if lam < -tol {
 			return fmt.Errorf("S[%d] not PSD: λmin = %g", b, lam)
 		}
 	}
