@@ -34,7 +34,12 @@ var benchSinkF float64
 func benchIPMState(b *testing.B, dim, m, workers int) *ipmState {
 	b.Helper()
 	rng := rand.New(rand.NewSource(int64(dim*1000 + m)))
-	p := randomFeasibleSDP(rng, dim, m)
+	return benchStateFor(b, randomFeasibleSDP(rng, dim, m), workers)
+}
+
+// benchStateFor is benchIPMState on a given problem.
+func benchStateFor(b *testing.B, p *Problem, workers int) *ipmState {
+	b.Helper()
 	opt := IPMOptions{Workers: workers}
 	opt.setDefaults()
 	st := newIPMState(p, opt, nil)
@@ -79,20 +84,31 @@ func ipmFrozenStep(st *ipmState) float64 {
 	return ap + ad
 }
 
+// BenchmarkFormSchur times the Schur assembly. The nX rows are random
+// 3-entry constraints, which take the per-entry path of the factored form;
+// floorplan-n30 has the shape of an n30 sub-problem after equilibration
+// (dim 32, m 193: 160 distance pairs, each a single difference term, 30
+// outline sides and the 3 identity rows).
 func BenchmarkFormSchur(b *testing.B) {
+	run := func(b *testing.B, st *ipmState) {
+		st.formSchur() // warm the triangular-dispatch free list
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchSinkF = st.formSchur().At(0, 0)
+		}
+	}
 	for _, sc := range benchScales {
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/w%d", sc.name, w), func(b *testing.B) {
-				st := benchIPMState(b, sc.dim, sc.m, w)
-				st.formSchur() // warm the triangular-dispatch free list
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchSinkF = st.formSchur().At(0, 0)
-				}
+				run(b, benchIPMState(b, sc.dim, sc.m, w))
 			})
 		}
 	}
+	b.Run("floorplan-n30/w1", func(b *testing.B) {
+		p := equilibrate(floorplanRows(rand.New(rand.NewSource(30)), 30, 0, 160, 30, 0)).p
+		run(b, benchStateFor(b, p, 1))
+	})
 }
 
 // BenchmarkIPMInnerLoop measures one frozen predictor–corrector iteration.
