@@ -177,38 +177,6 @@ func f(n int) {
 	}
 }
 
-func TestMustReachAll(t *testing.T) {
-	// Both branches generate: the join must-reaches.
-	cfg := buildFunc(t, declsHeader+`
-func f(b bool) {
-	if b {
-		acquire()
-	} else {
-		acquire()
-	}
-	use()
-}`, "f")
-	holdsAt := cfg.MustReachAll(func(n ast.Node) bool { return callNamed(n, "acquire") })
-	join := findStmt(t, cfg, func(n ast.Node) bool { return callNamed(n, "use") })
-	if !holdsAt(join) {
-		t.Error("acquire on both branches, want holdsAt(join)=true")
-	}
-
-	// One branch skips: the join does not must-reach.
-	cfg = buildFunc(t, declsHeader+`
-func g(b bool) {
-	if b {
-		acquire()
-	}
-	use()
-}`, "g")
-	holdsAt = cfg.MustReachAll(func(n ast.Node) bool { return callNamed(n, "acquire") })
-	join = findStmt(t, cfg, func(n ast.Node) bool { return callNamed(n, "use") })
-	if holdsAt(join) {
-		t.Error("acquire on one branch only, want holdsAt(join)=false")
-	}
-}
-
 func TestConditionExpressionsAreNodes(t *testing.T) {
 	// The `if b` guard must appear as a CFG node so dataflow reads of
 	// condition operands are visible to the searches.

@@ -1,21 +1,14 @@
 package vetkit
 
-// Dataflow analyses over the CFG of cfg.go. Two primitives:
+// Dataflow analyses over the CFG of cfg.go. The primitive is
+// PathAvoiding, an existential path search: "is there an execution path
+// from this checkout to the exit that never releases the lease?" is a
+// may-question, answered by a DFS that prunes at satisfying nodes.
+// arenalease and journalerr are built on it. It treats the nodes inside a
+// block positionally: a node earlier in a block is reached before the
+// later nodes of the same block.
 //
-//   - MustReachAll: the forward "established on every path" analysis. A
-//     fact generated by some nodes (a defer registered, a guard taken)
-//     must hold at a query point along ALL paths from entry. Classic
-//     intersection dataflow, iterated to fixpoint.
-//
-//   - PathAvoiding: an existential path search. "Is there an execution
-//     path from this checkout to the exit that never releases the
-//     lease?" is a may-question, answered by a DFS that prunes at
-//     satisfying nodes. arenalease and journalerr are built on it.
-//
-// Both treat the nodes inside a block positionally: a fact generated
-// earlier in a block covers later nodes of the same block.
-//
-// The third piece, escape classification, is syntactic: given an
+// The other piece, escape classification, is syntactic: given an
 // identifier bound to an arena-owned value, classify each use site as a
 // release, a transfer of ownership, an escape (return/send/global), or a
 // neutral borrow. It lives with its consumer in arenalease.go; the
@@ -103,69 +96,6 @@ func scanNodes(nodes []ast.Node, classify func(ast.Node) NodeClass) (verdict, do
 		}
 	}
 	return false, false
-}
-
-// MustReachAll computes the forward must-analysis for a fact generated by
-// `gen` nodes: the returned holdsAt reports whether the fact is
-// established on EVERY path from entry to the given node (exclusive of
-// the node itself). Facts are never killed — this is the right shape for
-// "a defer was registered" style facts; analyses needing kills use the
-// path searches instead.
-func (c *CFG) MustReachAll(gen func(ast.Node) bool) (holdsAt func(ast.Node) bool) {
-	n := len(c.Blocks)
-	genIn := make([]bool, n) // block generates the fact somewhere inside
-	for _, b := range c.Blocks {
-		for _, nd := range b.Nodes {
-			if gen(nd) {
-				genIn[b.Index] = true
-				break
-			}
-		}
-	}
-	// in[b]: fact holds on entry to b along all paths. Optimistic
-	// initialization (true everywhere except entry), intersection over
-	// predecessors, iterate to fixpoint.
-	in := make([]bool, n)
-	out := make([]bool, n)
-	for i := range in {
-		in[i] = true
-		out[i] = true
-	}
-	in[c.Entry.Index] = false
-	out[c.Entry.Index] = genIn[c.Entry.Index]
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.Blocks {
-			if b == c.Entry {
-				continue
-			}
-			v := len(b.Preds) > 0
-			for _, p := range b.Preds {
-				if !out[p.Index] {
-					v = false
-					break
-				}
-			}
-			o := v || genIn[b.Index]
-			if v != in[b.Index] || o != out[b.Index] {
-				in[b.Index] = v
-				out[b.Index] = o
-				changed = true
-			}
-		}
-	}
-	return func(query ast.Node) bool {
-		b, idx := c.At(query)
-		if b == nil {
-			return false
-		}
-		for _, nd := range b.Nodes[:idx] {
-			if gen(nd) {
-				return true
-			}
-		}
-		return in[b.Index]
-	}
 }
 
 // buildParents maps every node under root to its syntactic parent. The
