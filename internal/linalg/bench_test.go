@@ -131,6 +131,33 @@ func BenchmarkSymEig(b *testing.B) {
 	}
 }
 
+// BenchmarkEigMin is BenchmarkSymEig for the eigenvalue-only λmin the IPM
+// step length and the KKT check use.
+func BenchmarkEigMin(b *testing.B) {
+	for _, n := range benchSizes {
+		rng := rand.New(rand.NewSource(int64(n)))
+		a := randMat(rng, n, n)
+		a.Symmetrize()
+		var ew EigWork
+		for _, w := range benchWorkerCounts() {
+			b.Run(fmt.Sprintf("n%d/w%d", n, w), func(b *testing.B) {
+				if _, err := ew.Min(a, w); err != nil { // warm the workspace and the dispatch free list
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v, err := ew.Min(a, w)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = v
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkPSDProject(b *testing.B) {
 	for _, n := range benchSizes {
 		rng := rand.New(rand.NewSource(int64(n)))
