@@ -181,7 +181,7 @@ func TestDirectionMatrixClosedFormMatchesSDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eg.MinEigenvalue() < -1e-9 || eg.MaxEigenvalue() > 1+1e-9 {
+	if eg.Values[0] < -1e-9 || eg.MaxEigenvalue() > 1+1e-9 {
 		t.Fatalf("W eigenvalues out of [0,1]: %v", eg.Values)
 	}
 	if math.Abs(linalg.InnerProd(w, z)-wz) > 1e-9*(1+math.Abs(wz)) {
